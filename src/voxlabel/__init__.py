@@ -9,7 +9,8 @@ and evaluates against the resulting pseudo-labels.
 from .scene import (Box, CameraIntrinsics, FrameObservation, ObjectInstance,
                     Pose, SceneParams, SceneSpec, generate_scene,
                     pixel_to_world, render_frame, world_to_pixel)
-from .detector import Detection, DetectionSet, NoiseModel, simulate_detections, softmax
+from .detector import (Detection, DetectionSet, NoiseModel, mask_bbox,
+                       simulate_detections, softmax)
 from .explore import (Action, AgentState, OccupancyGrid, Trajectory,
                       frontier_goals, next_goal, plan_path, run_episode,
                       step_agent, update_occupancy)
@@ -17,7 +18,7 @@ from .consensus import (InstanceRecord, SemanticVoxelMap, accumulate_frame,
                         consistent_logits, extract_instances, finalize_map,
                         resolve_voxels)
 from .reproject import (PseudoDataset, PseudoLabel, build_pseudo_dataset,
-                        mask_to_bbox, project_instance_masks)
+                        project_instance_masks)
 from .losses import (LossValue, TrainConfig, detection_loss, distill_loss,
                      head_loss, toy_finetune, triplet_loss)
 from .evaluate import EvalReport, average_precision, evaluate_pseudo_labels, iou

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .detector import mask_bbox
 from .scene import NUM_CLASSES, SceneSpec
 
 
@@ -105,9 +106,8 @@ def frame_gt_boxes(frame, scene: SceneSpec, min_pixels: int = 50):
     for gt_id, n_px in zip(ids.tolist(), counts.tolist()):
         if n_px < min_pixels:
             continue
-        vs, us = np.nonzero(frame.gt_instance == gt_id)
-        bbox = (int(us.min()), int(vs.min()), int(us.max()), int(vs.max()))
-        out.append((scene.object_by_id(gt_id).class_id, bbox))
+        out.append((scene.object_by_id(gt_id).class_id,
+                    mask_bbox(frame.gt_instance == gt_id)))
     return out
 
 

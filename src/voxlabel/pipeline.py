@@ -48,6 +48,11 @@ class RunConfig:
     train_config: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("max_range", "cell_size", "voxel_size"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+
     def to_json(self) -> dict:
         return {
             "scene_file": self.scene_file,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .consensus import SemanticVoxelMap
+from .detector import mask_bbox
 from .scene import CameraIntrinsics, FrameObservation, world_to_pixel
 
 
@@ -40,14 +41,6 @@ class PseudoDataset:
         for i, labels in enumerate(self.frames):
             for lab in labels:
                 yield i, lab
-
-
-def mask_to_bbox(mask: np.ndarray) -> tuple:
-    """Minimum rectangle (u_min, v_min, u_max, v_max) containing the mask."""
-    vs, us = np.nonzero(mask)
-    if us.size == 0:
-        raise ValueError("empty mask")
-    return (int(us.min()), int(vs.min()), int(us.max()), int(vs.max()))
 
 
 def project_instance_masks(vmap: SemanticVoxelMap, frame: FrameObservation,
@@ -115,7 +108,7 @@ def project_instance_masks(vmap: SemanticVoxelMap, frame: FrameObservation,
         inst = vmap.instances[uid]
         labels.append(PseudoLabel(uid=uid, class_id=inst.class_id,
                                   lambda_bar=inst.consistent_logits,
-                                  mask=mask, bbox=mask_to_bbox(mask)))
+                                  mask=mask, bbox=mask_bbox(mask)))
     return labels
 
 

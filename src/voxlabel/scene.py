@@ -313,20 +313,15 @@ def generate_scene(params: SceneParams, seed: int) -> SceneSpec:
                      objects=tuple(objects), seed=seed)
 
 
-def _ray_dirs(K: CameraIntrinsics, pose: Pose) -> np.ndarray:
-    """World-frame direction per pixel, scaled so t equals planar depth. (H, W, 3)."""
-    right, down, forward = pose.basis()
-    us = (np.arange(K.width) + 0.0 - K.cx) / K.fx
-    vs = (np.arange(K.height) + 0.0 - K.cy) / K.fy
-    dirs = (us[None, :, None] * right[None, None, :]
-            + vs[:, None, None] * down[None, None, :]
-            + forward[None, None, :])
-    return dirs
-
-
 def render_frame(scene: SceneSpec, pose: Pose, K: CameraIntrinsics,
                  max_range: float = 10.0) -> FrameObservation:
-    """Nearest ray/box hit per pixel via the slab method, vectorized over boxes."""
+    """Nearest ray/box hit per pixel via the slab method, factored by column and row.
+
+    Requires zero camera pitch and roll and axis-aligned boxes: all pixels of a
+    column then share one horizontal ray direction and all pixels of a row one
+    vertical component, so the x/y slab test runs per column (W, M, 2) and the
+    z slab test per row (H, M). A pitched or rolled camera needs a per-pixel test.
+    """
     H, W = K.height, K.width
     boxes = scene.all_solid_boxes()
     depth = np.zeros((H, W))
@@ -334,17 +329,23 @@ def render_frame(scene: SceneSpec, pose: Pose, K: CameraIntrinsics,
     if not boxes:
         return FrameObservation(pose=pose, depth=depth, gt_instance=gt)
 
-    dirs = _ray_dirs(K, pose)                       # (H, W, 3)
-    origin = pose.position
-    mins = np.stack([b.mins for b in boxes])        # (M, 3)
-    maxs = np.stack([b.maxs for b in boxes])
-
+    right, down, forward = pose.basis()
+    us = (np.arange(W) + 0.0 - K.cx) / K.fx
+    vs = (np.arange(H) + 0.0 - K.cy) / K.fy
+    lo = np.stack([b.mins for b in boxes]) - pose.position   # (M, 3)
+    hi = np.stack([b.maxs for b in boxes]) - pose.position
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs                            # (H, W, 3); inf on zero components
-        t1 = (mins[None, None] - origin) * inv[:, :, None, :]   # (H, W, M, 3)
-        t2 = (maxs[None, None] - origin) * inv[:, :, None, :]
-    tnear = np.nanmax(np.minimum(t1, t2), axis=-1)  # (H, W, M)
-    tfar = np.nanmin(np.maximum(t1, t2), axis=-1)
+        # direction us * right + vs * down + forward (t = planar depth): down
+        # has no x/y part, right and forward no z part; inf on zero components
+        inv_xy = 1.0 / (us[:, None] * right[:2] + forward[:2])   # (W, 2)
+        inv_z = 1.0 / (vs * down[2] + forward[2])                 # (H,)
+        t1, t2 = lo[:, :2] * inv_xy[:, None], hi[:, :2] * inv_xy[:, None]
+        z1, z2 = lo[:, 2] * inv_z[:, None], hi[:, 2] * inv_z[:, None]
+    # fmax/fmin skip NaN: 0 * inf when the origin lies on a slab plane
+    near_xy = np.fmax.reduce(np.minimum(t1, t2), axis=-1)         # (W, M)
+    far_xy = np.fmin.reduce(np.maximum(t1, t2), axis=-1)
+    tnear = np.fmax(near_xy[None], np.minimum(z1, z2)[:, None])   # (H, W, M)
+    tfar = np.fmin(far_xy[None], np.maximum(z1, z2)[:, None])
     eps = 1e-9
     hit = (tfar >= tnear) & (tnear > eps) & (tnear <= max_range)
     tnear = np.where(hit, tnear, np.inf)

@@ -108,6 +108,12 @@ class TestRunConfig:
         assert config_hash(a) != config_hash(small_config(seed=1))
         assert config_hash(a) != config_hash(replace(a, alpha=0.1))
 
+    @pytest.mark.parametrize("value", [0.0, -0.05])
+    @pytest.mark.parametrize("name", ["max_range", "cell_size", "voxel_size"])
+    def test_rejects_non_positive_geometry(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            small_config(**{name: value})
+
 
 class TestRunGrid:
     def test_grid_cells_and_aggregate(self, tmp_path):

@@ -3,11 +3,10 @@ import pytest
 
 from voxlabel.consensus import (SemanticVoxelMap, accumulate_frame,
                                 finalize_map)
-from voxlabel.detector import NoiseModel, simulate_detections
+from voxlabel.detector import NoiseModel, mask_bbox, simulate_detections
 from voxlabel.explore import run_episode
 from voxlabel.reproject import (PseudoDataset, build_pseudo_dataset,
-                                dataset_to_coco, mask_to_bbox,
-                                project_instance_masks)
+                                dataset_to_coco, project_instance_masks)
 from voxlabel.scene import (Box, FrameObservation, ObjectInstance, Pose,
                             SceneParams, SceneSpec, generate_scene,
                             render_frame, world_to_pixel)
@@ -28,16 +27,16 @@ class TestMaskToBbox:
     def test_single_pixel(self):
         mask = np.zeros((5, 7), dtype=bool)
         mask[2, 3] = True
-        assert mask_to_bbox(mask) == (3, 2, 3, 2)
+        assert mask_bbox(mask) == (3, 2, 3, 2)
 
     def test_rectangle(self):
         mask = np.zeros((10, 10), dtype=bool)
         mask[1:4, 2:8] = True
-        assert mask_to_bbox(mask) == (2, 1, 7, 3)
+        assert mask_bbox(mask) == (2, 1, 7, 3)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError, match="empty mask"):
-            mask_to_bbox(np.zeros((4, 4), dtype=bool))
+            mask_bbox(np.zeros((4, 4), dtype=bool))
 
     def test_matches_scan_oracle(self):
         rng = np.random.default_rng(2)
@@ -45,7 +44,7 @@ class TestMaskToBbox:
             mask = rng.random((12, 16)) < 0.2
             if not mask.any():
                 continue
-            got = mask_to_bbox(mask)
+            got = mask_bbox(mask)
             us = [u for v in range(12) for u in range(16) if mask[v, u]]
             vs = [v for v in range(12) for u in range(16) if mask[v, u]]
             assert got == (min(us), min(vs), max(us), max(vs))
@@ -63,7 +62,7 @@ class TestProjectInstanceMasks:
         assert len(labels) == 1
         u, v, _ = world_to_pixel(center, cam, pose)
         assert labels[0].mask[int(round(v)), int(round(u))]
-        assert labels[0].bbox == mask_to_bbox(labels[0].mask)
+        assert labels[0].bbox == mask_bbox(labels[0].mask)
         assert labels[0].class_id == 2
 
     def test_single_voxel_occluded(self, cam):

@@ -96,6 +96,30 @@ class TestRenderFrame:
             if d_ref > 0 and abs(frame.depth[v, u] - d_ref) < 1e-3:
                 assert frame.gt_instance[v, u] == gt_ref
 
+    @pytest.mark.parametrize("x, y, yaw, height", [
+        (2.0, 4.0, 0.0, 1.25),
+        (2.0, 4.0, math.pi / 2, 1.25),
+        (2.0, 4.0, -math.pi / 2, 1.25),
+        (2.0, 4.0, -math.pi, 1.25),
+        (2.0, 4.0, 0.0, 1.8),    # on object 0's top face: (zmax - h) * inf is NaN
+        (2.0, 4.0, 0.0, 0.0),    # on the floor plane
+        (2.0, 3.5, 0.0, 1.25),   # on object 0's ymin face, principal column along it
+    ])
+    def test_edge_poses_match_ray_march_oracle(self, cam_small, box_scene,
+                                               x, y, yaw, height):
+        pose = Pose(x=x, y=y, yaw=yaw, camera_height=height)
+        frame = render_frame(box_scene, pose, cam_small)
+        cu, cv = int(cam_small.cx), int(cam_small.cy)
+        assert (cu, cv) == (cam_small.cx, cam_small.cy)
+        # principal row v = cy and principal column u = cx, plus one off-axis pixel
+        pixels = [(cu, cv), (cu, 0), (cu, cam_small.height - 1),
+                  (0, cv), (cam_small.width - 1, cv), (3, 9)]
+        for u, v in pixels:
+            d_ref, gt_ref = ray_march_depth(box_scene, pose, cam_small, u, v)
+            assert abs(frame.depth[v, u] - d_ref) <= 2e-3
+            if d_ref > 0 and abs(frame.depth[v, u] - d_ref) < 1e-3:
+                assert frame.gt_instance[v, u] == gt_ref
+
     def test_depth_monotone_under_obstacle_removal(self, cam_small, box_scene):
         pose = Pose(x=1.0, y=4.0, yaw=0.1, camera_height=1.25)
         full = render_frame(box_scene, pose, cam_small)
