@@ -11,6 +11,7 @@ detections (one vote per detection, not per voxel hit).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,10 +36,21 @@ class VoxelRecord:
 
 @dataclass
 class InstanceRecord:
+    """One extracted 3D instance.
+
+    `voxels` is the source of truth and is fixed after extraction:
+    `sorted_keys` is computed from it once and never refreshed.
+    """
+
     uid: int
     class_id: int
     voxels: set              # set[(ix, iy, iz)]
     consistent_logits: np.ndarray | None = None
+
+    @cached_property
+    def sorted_keys(self) -> np.ndarray:
+        """(n, 3) int64 voxel keys in lexicographic order."""
+        return np.array(sorted(self.voxels), dtype=np.int64)
 
 
 class SemanticVoxelMap:
@@ -52,6 +64,8 @@ class SemanticVoxelMap:
                  resolve_mode: str = "max_observation"):
         if resolve_mode not in ("max_observation", "summed_softmax"):
             raise ValueError(f"unknown resolve_mode: {resolve_mode}")
+        if not voxel_size > 0:
+            raise ValueError(f"voxel_size must be positive, got {voxel_size}")
         self.voxel_size = voxel_size
         self.resolve_mode = resolve_mode
         self.voxels: dict = {}          # (ix, iy, iz) -> VoxelRecord

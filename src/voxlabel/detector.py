@@ -53,6 +53,9 @@ class NoiseModel:
             raise ValueError("confusion rows must be stochastic")
         if not (0.0 <= self.dropout_base <= 1.0 and self.dropout_per_meter >= 0.0):
             raise ValueError("dropout probabilities out of range")
+        if self.mask_jitter_px < 0:
+            raise ValueError(
+                f"mask_jitter_px must be non-negative, got {self.mask_jitter_px}")
 
     @classmethod
     def noiseless(cls, min_pixels: int = 50) -> "NoiseModel":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -26,6 +27,8 @@ from .losses import TrainConfig, toy_finetune
 from .reproject import build_pseudo_dataset, dataset_to_coco
 from .scene import CameraIntrinsics, SceneParams, SceneSpec, generate_scene
 from .serialize import canonical_dumps, derive_seed, rle_encode, sha256_file
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,11 @@ class RunConfig:
         for name in ("max_range", "cell_size", "voxel_size"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.alpha < 0:
+            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+        if self.occlusion_tolerance is not None and self.occlusion_tolerance < 0:
+            raise ValueError("occlusion_tolerance must be non-negative, "
+                             f"got {self.occlusion_tolerance}")
 
     def to_json(self) -> dict:
         return {
@@ -237,8 +245,9 @@ def run_grid(base: RunConfig, policies, alphas, seeds, out_root,
              max_workers: int = 1) -> str:
     """One pipeline run per (policy, alpha, seed); aggregate CSV per cell.
 
-    Failures are recorded per cell and the grid continues. Returns the path
-    of the aggregate CSV.
+    Failures are recorded per cell and the grid continues, whatever the
+    exception, including a broken worker pool. Returns the path of the
+    aggregate CSV.
     """
     from concurrent.futures import ProcessPoolExecutor
 
@@ -257,7 +266,10 @@ def run_grid(base: RunConfig, policies, alphas, seeds, out_root,
             futures = {pool.submit(_run_cell, cfg, d): (cfg.policy, cfg.alpha, cfg.seed)
                        for cfg, d in jobs}
             for fut, key in futures.items():
-                results[key] = fut.result()
+                try:
+                    results[key] = fut.result()
+                except Exception as exc:
+                    results[key] = _cell_failure(key, exc)
     else:
         for cfg, d in jobs:
             results[(cfg.policy, cfg.alpha, cfg.seed)] = _run_cell(cfg, d)
@@ -291,17 +303,24 @@ def run_grid(base: RunConfig, policies, alphas, seeds, out_root,
     return str(agg_path)
 
 
+def _cell_failure(cell, exc: Exception) -> dict:
+    logger.error("grid cell %s failed", cell, exc_info=exc)
+    return {"status": f"failed: {type(exc).__name__}"}
+
+
 def _run_cell(config: RunConfig, out_dir) -> dict:
     try:
         run_pipeline(config, out_dir)
+        with open(Path(out_dir) / "eval.json") as f:
+            ev = json.load(f)
+        result = {"status": "ok", "map50": ev["pseudo"]["map50"],
+                  "improvement": ev["improvement"], "accuracy": None}
+        train_path = Path(out_dir) / "train_report.json"
+        if train_path.exists():
+            with open(train_path) as f:
+                result["accuracy"] = json.load(f)["final_accuracy"]
     except StageError as exc:
         return {"status": f"failed: {exc.stage}"}
-    with open(Path(out_dir) / "eval.json") as f:
-        ev = json.load(f)
-    result = {"status": "ok", "map50": ev["pseudo"]["map50"],
-              "improvement": ev["improvement"], "accuracy": None}
-    train_path = Path(out_dir) / "train_report.json"
-    if train_path.exists():
-        with open(train_path) as f:
-            result["accuracy"] = json.load(f)["final_accuracy"]
+    except Exception as exc:
+        return _cell_failure((config.policy, config.alpha, config.seed), exc)
     return result

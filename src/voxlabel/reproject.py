@@ -3,7 +3,8 @@
 Each voxel center is projected through the camera; a depth-buffer test with a
 small tolerance handles occlusion, and each accepted voxel is splatted with
 its projected footprint so masks stay dense. Overlapping instances are
-resolved painter-style by nearer depth.
+resolved in one z-buffer pass: nearer depth wins, an exact tie goes to the
+lower uid.
 """
 
 from __future__ import annotations
@@ -52,59 +53,57 @@ def project_instance_masks(vmap: SemanticVoxelMap, frame: FrameObservation,
     A voxel claims its projected pixel iff the pixel is in bounds, the voxel
     is in front of the camera, and the projected depth matches the frame depth
     within the tolerance (default 2 * voxel_size). Claimed pixels are dilated
-    by the voxel's projected footprint; instance overlaps go to the nearer
-    instance.
+    by the voxel's projected footprint. Where footprints overlap, the nearer
+    depth wins and an exact depth tie goes to the lower uid. Labels come in
+    ascending uid order, one per instance that wins at least one pixel.
     """
     if not vmap.extracted:
         raise ValueError("map must be extracted before reprojection")
     tol = 2.0 * vmap.voxel_size if occlusion_tolerance is None else occlusion_tolerance
+    if tol < 0:
+        raise ValueError(f"occlusion_tolerance must be non-negative, got {tol}")
     H, W = K.height, K.width
-    half = vmap.voxel_size / 2.0
-
-    uids = sorted(vmap.instances)
-    if not uids:
+    if not vmap.instances:
         return []
-    zbuf = np.full((H, W), np.inf)
-    winner = np.full((H, W), -1, dtype=np.int64)
 
-    for uid in uids:
-        inst = vmap.instances[uid]
-        keys = np.array(sorted(inst.voxels), dtype=np.int64)
-        centers = (keys + 0.5) * vmap.voxel_size
+    # one projection per instance: BLAS rounds a one-row matmul differently
+    # from the same row inside a longer array
+    parts = []
+    for uid in sorted(vmap.instances):
+        centers = (vmap.instances[uid].sorted_keys + 0.5) * vmap.voxel_size
         u, v, d = world_to_pixel(centers, K, frame.pose)
-        ui = np.round(u).astype(int)
-        vi = np.round(v).astype(int)
-        ok = (d > 0) & (ui >= 0) & (ui < W) & (vi >= 0) & (vi < H)
-        if not ok.any():
-            continue
-        ui, vi, d = ui[ok], vi[ok], d[ok]
-        frame_d = frame.depth[vi, ui]
-        ok2 = (frame_d > 0) & (np.abs(d - frame_d) <= tol)
-        if not ok2.any():
-            continue
-        ui, vi, d = ui[ok2], vi[ok2], d[ok2]
-        radii = np.ceil(vmap.voxel_size * K.fx / (2.0 * d)).astype(int)
+        parts.append((u, v, d, np.full(len(d), uid)))
+    u, v, d, owner = (np.concatenate(a) for a in zip(*parts))
+    ui = np.round(u).astype(int)
+    vi = np.round(v).astype(int)
+    ok = (d > 0) & (ui >= 0) & (ui < W) & (vi >= 0) & (vi < H)
+    frame_d = frame.depth[vi[ok], ui[ok]]
+    ok[ok] = (frame_d > 0) & (np.abs(d[ok] - frame_d) <= tol)
+    if not ok.any():
+        return []
+    ui, vi, d, owner = ui[ok], vi[ok], d[ok], owner[ok]
+    radii = np.ceil(vmap.voxel_size * K.fx / (2.0 * d)).astype(int)
 
-        inst_depth = np.full((H, W), np.inf)
-        for r in np.unique(radii):
-            sel = radii == r
-            uu, vv, dd = ui[sel], vi[sel], d[sel]
-            for dy in range(-r, r + 1):
-                for dx in range(-r, r + 1):
-                    tu = uu + dx
-                    tv = vv + dy
-                    inb = (tu >= 0) & (tu < W) & (tv >= 0) & (tv < H)
-                    np.minimum.at(inst_depth, (tv[inb], tu[inb]), dd[inb])
-        claimed = np.isfinite(inst_depth)
-        take = claimed & (inst_depth < zbuf)
-        zbuf[take] = inst_depth[take]
-        winner[take] = uid
+    pix, src = [], []       # splatted pixel, index of the splatting voxel
+    for r in np.unique(radii):
+        idx = np.flatnonzero(radii == r)
+        dy, dx = (o.ravel() for o in np.mgrid[-r:r + 1, -r:r + 1])
+        tv, tu = vi[idx, None] + dy, ui[idx, None] + dx
+        inb = (tu >= 0) & (tu < W) & (tv >= 0) & (tv < H)
+        pix.append(tv[inb] * W + tu[inb])
+        src.append(idx[np.nonzero(inb)[0]])
+    pix, src = np.concatenate(pix), np.concatenate(src)
+    depth, who = d[src], owner[src]
+
+    zbuf = np.full(H * W, np.inf)
+    np.minimum.at(zbuf, pix, depth)
+    nearest = depth == zbuf[pix]
+    winner = np.full(H * W, np.iinfo(np.int64).max)
+    np.minimum.at(winner, pix[nearest], who[nearest])
 
     labels: list[PseudoLabel] = []
-    for uid in uids:
-        mask = winner == uid
-        if not mask.any():
-            continue
+    for uid in np.unique(winner[np.isfinite(zbuf)]).tolist():
+        mask = winner.reshape(H, W) == uid
         inst = vmap.instances[uid]
         labels.append(PseudoLabel(uid=uid, class_id=inst.class_id,
                                   lambda_bar=inst.consistent_logits,

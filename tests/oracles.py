@@ -161,6 +161,46 @@ def mean_softmax(logit_vectors):
     return np.mean([softmax_ref(l) for l in logit_vectors], axis=0)
 
 
+# ---------------------------------------------------------------- reproject
+
+def painter_reproject(instance_keys, voxel_size, depth, K, pose, tolerance):
+    """Winning instance uid per pixel (-1 where none) by a python painter.
+
+    instance_keys: dict uid -> iterable of voxel keys (ix, iy, iz). Instances
+    are painted in ascending uid order, voxel by voxel, footprint pixel by
+    footprint pixel; a pixel takes the voxel's planar depth only when it is
+    strictly nearer than the z-buffer, so the nearer depth wins and an exact
+    tie keeps the lower uid. A voxel paints only when its centre projects in
+    bounds, in front of the camera, and within `tolerance` of a non-zero
+    frame depth; its footprint radius is ceil(voxel_size * fx / (2 * depth)).
+    """
+    H, W = K.height, K.width
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+    zbuf = [[math.inf] * W for _ in range(H)]
+    winner = [[-1] * W for _ in range(H)]
+    for uid in sorted(instance_keys):
+        for key in sorted(instance_keys[uid]):
+            px, py, pz = ((k + 0.5) * voxel_size for k in key)
+            dx, dy, dz = px - pose.x, py - pose.y, pz - pose.camera_height
+            z = dx * c + dy * s
+            if z <= 0:
+                continue
+            u = round((dx * s - dy * c) / z * K.fx + K.cx)
+            v = round(-dz / z * K.fy + K.cy)
+            if not (0 <= u < W and 0 <= v < H):
+                continue
+            frame_d = float(depth[v][u])
+            if not (frame_d > 0 and abs(z - frame_d) <= tolerance):
+                continue
+            r = math.ceil(voxel_size * K.fx / (2.0 * z))
+            for tv in range(v - r, v + r + 1):
+                for tu in range(u - r, u + r + 1):
+                    if 0 <= tu < W and 0 <= tv < H and z < zbuf[tv][tu]:
+                        zbuf[tv][tu] = z
+                        winner[tv][tu] = uid
+    return np.array(winner)
+
+
 # ------------------------------------------------------------------- losses
 
 def finite_difference_grad(f, x, h=1e-6):

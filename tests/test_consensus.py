@@ -106,6 +106,11 @@ class TestAccumulate:
                              DetectionSet(0, [full_mask_detection(depth.shape)],
                                           [0]), cam)
 
+    @pytest.mark.parametrize("voxel_size", [0.0, -0.05])
+    def test_rejects_non_positive_voxel_size(self, voxel_size):
+        with pytest.raises(ValueError, match="voxel_size"):
+            SemanticVoxelMap(voxel_size=voxel_size)
+
 
 class TestResolve:
     def test_max_score_wins(self):

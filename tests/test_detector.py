@@ -56,6 +56,10 @@ class TestNoiseModel:
                                           mask_jitter_px=2)
         assert NoiseModel.from_json(nm.to_json()) == nm
 
+    def test_rejects_negative_mask_jitter(self):
+        with pytest.raises(ValueError, match="mask_jitter_px"):
+            NoiseModel(mask_jitter_px=-1)
+
 
 @pytest.fixture
 def visible_scene(cam):

@@ -1,5 +1,7 @@
 import csv
 import json
+import multiprocessing
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -114,6 +116,11 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=name):
             small_config(**{name: value})
 
+    @pytest.mark.parametrize("name", ["alpha", "occlusion_tolerance"])
+    def test_rejects_negative_weights(self, name):
+        with pytest.raises(ValueError, match=name):
+            small_config(**{name: -0.1})
+
 
 class TestRunGrid:
     def test_grid_cells_and_aggregate(self, tmp_path):
@@ -148,6 +155,47 @@ class TestRunGrid:
             row = list(csv.DictReader(f))[0]
         assert int(row["n_failed"]) == 1
         assert row["map50_mean"] == ""
+
+    def test_cell_exception_outside_a_stage_is_isolated(self, tmp_path,
+                                                         monkeypatch):
+        from voxlabel import pipeline
+        real_run = pipeline.run_pipeline
+
+        def run_or_crash(config, out_dir):
+            if config.alpha == 0.7:
+                raise RuntimeError("crash outside any stage")
+            return real_run(config, out_dir)
+
+        base = small_config(steps=5)
+        monkeypatch.setattr(pipeline, "run_pipeline", run_or_crash)
+        agg = run_grid(base, ["frontier"], [0.0, 0.7, 1.0], [0], tmp_path / "grid",
+                       max_workers=1)
+        with open(agg) as f:
+            rows = {row["alpha"]: row for row in csv.DictReader(f)}
+        assert (rows["0.7"]["n_ok"], rows["0.7"]["n_failed"]) == ("0", "1")
+        # the other cells ran and wrote what an undisturbed run writes
+        for alpha in ("0.0", "1.0"):
+            assert (rows[alpha]["n_ok"], rows[alpha]["n_failed"]) == ("1", "0")
+            ref = tmp_path / f"ref{alpha}"
+            manifest = real_run(replace(base, alpha=float(alpha), seed=0), ref)
+            cell = tmp_path / "grid" / f"frontier_alpha{alpha}_seed0"
+            for name in list(manifest["files"]) + ["MANIFEST.json"]:
+                assert (cell / name).read_bytes() == (ref / name).read_bytes()
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the patch only when forked")
+    def test_broken_worker_pool_is_recorded(self, tmp_path, monkeypatch):
+        from voxlabel import pipeline
+
+        def die(config, out_dir):
+            os._exit(1)
+
+        monkeypatch.setattr(pipeline, "run_pipeline", die)
+        agg = run_grid(small_config(steps=5), ["frontier"], [0.7], [0, 1],
+                       tmp_path, max_workers=2)
+        with open(agg) as f:
+            row = list(csv.DictReader(f))[0]
+        assert (row["n_ok"], row["n_failed"]) == ("0", "2")
 
     def test_parallel_matches_serial(self, tmp_path):
         base = small_config(steps=10)

@@ -7,9 +7,11 @@ from voxlabel.detector import NoiseModel, mask_bbox, simulate_detections
 from voxlabel.explore import run_episode
 from voxlabel.reproject import (PseudoDataset, build_pseudo_dataset,
                                 dataset_to_coco, project_instance_masks)
-from voxlabel.scene import (Box, FrameObservation, ObjectInstance, Pose,
-                            SceneParams, SceneSpec, generate_scene,
-                            render_frame, world_to_pixel)
+from voxlabel.scene import (Box, CameraIntrinsics, FrameObservation,
+                            ObjectInstance, Pose, SceneParams, SceneSpec,
+                            generate_scene, render_frame, world_to_pixel)
+
+from oracles import painter_reproject
 
 
 def single_voxel_map(key=(40, 0, 25)):
@@ -112,6 +114,129 @@ class TestProjectInstanceMasks:
                                  gt_instance=np.zeros(depth.shape, np.int32))
         with pytest.raises(ValueError):
             project_instance_masks(vmap, frame, cam)
+
+    def test_rejects_negative_tolerance(self, cam):
+        vmap = single_voxel_map()
+        depth = np.full((cam.height, cam.width), 2.025)
+        frame = FrameObservation(pose=Pose(0, 0, 0, camera_height=1.25),
+                                 depth=depth,
+                                 gt_instance=np.zeros(depth.shape, np.int32))
+        with pytest.raises(ValueError, match="occlusion_tolerance"):
+            project_instance_masks(vmap, frame, cam, occlusion_tolerance=-0.1)
+
+
+def map_from_voxels(voxel_classes, voxel_size=0.05):
+    """Extracted map, one observation per voxel, every component kept."""
+    from voxlabel.consensus import VoxelRecord
+    vmap = SemanticVoxelMap(voxel_size=voxel_size)
+    for det, (key, class_id) in enumerate(sorted(voxel_classes.items())):
+        logits = np.zeros(6)
+        logits[class_id] = 5.0
+        oid = vmap._register_obs(logits, 0.9, 0, det)
+        vmap.voxels[key] = VoxelRecord(obs_ids=[oid])
+    finalize_map(vmap, min_instance_voxels=1)
+    return vmap
+
+
+def random_scene_map(seed, voxel_size):
+    """Seeded blobs around a camera at the origin, and a frame whose depth
+    agrees with most of the voxels.
+
+    Blob centres lie from 1 m behind to 4 m in front of the camera (radius
+    >= 2 footprints below 0.8 m at 5 cm voxels) and up to 20 % beyond the
+    field of view, so footprints get clipped at the image border. Blobs of
+    one voxel become single-voxel instances.
+    """
+    rng = np.random.default_rng(seed)
+    voxels = {}
+    for _ in range(int(rng.integers(6, 12))):
+        forward = rng.uniform(-1.0, 4.0)
+        centre = np.array([forward, forward * rng.uniform(-0.6, 0.6),
+                           1.25 + forward * rng.uniform(-0.45, 0.45)])
+        centre = np.floor(centre / voxel_size).astype(int)
+        class_id = int(rng.integers(6))
+        for _ in range(int(rng.choice([1, 4, 12]))):
+            centre = centre + rng.integers(-1, 2, 3)
+            voxels[tuple(centre.tolist())] = class_id
+    vmap = map_from_voxels(voxels, voxel_size)
+    pose = Pose(0.0, 0.0, float(rng.uniform(-0.2, 0.2)), camera_height=1.25)
+    K = CameraIntrinsics.default()
+    depth = rng.uniform(0.3, 6.0, (K.height, K.width))
+    keys = np.array(sorted(voxels))
+    u, v, d = world_to_pixel((keys + 0.5) * voxel_size, K, pose)
+    ui, vi = np.round(u), np.round(v)
+    seen = (d > 0) & (ui >= 0) & (ui < K.width) & (vi >= 0) & (vi < K.height)
+    depth[vi[seen].astype(int), ui[seen].astype(int)] = \
+        d[seen] + rng.uniform(-0.25, 0.25, int(seen.sum()))
+    depth[rng.random(depth.shape) < 0.05] = 0.0
+    frame = FrameObservation(pose=pose, depth=depth,
+                             gt_instance=np.zeros(depth.shape, np.int32))
+    return vmap, frame, K
+
+
+def assert_matches_painter(vmap, frame, K, tolerance):
+    labels = project_instance_masks(vmap, frame, K,
+                                    occlusion_tolerance=tolerance)
+    tol = 2.0 * vmap.voxel_size if tolerance is None else tolerance
+    winner = painter_reproject({uid: inst.voxels
+                                for uid, inst in vmap.instances.items()},
+                               vmap.voxel_size, frame.depth, K, frame.pose, tol)
+    expected = sorted(set(winner[winner >= 0].tolist()))
+    assert [lab.uid for lab in labels] == expected
+    for lab in labels:
+        inst = vmap.instances[lab.uid]
+        assert lab.class_id == inst.class_id
+        assert lab.lambda_bar is inst.consistent_logits
+        assert np.array_equal(lab.mask, winner == lab.uid)
+        assert lab.bbox == mask_bbox(lab.mask)
+    return labels
+
+
+class TestPainterOracle:
+    @pytest.mark.parametrize("tolerance", [None, 0.3, 5.0])
+    @pytest.mark.parametrize("voxel_size", [0.05, 0.1])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_maps_match_painter(self, seed, voxel_size, tolerance):
+        vmap, frame, K = random_scene_map(seed, voxel_size)
+        labels = assert_matches_painter(vmap, frame, K, tolerance)
+        assert len(vmap.instances) >= 2
+        assert labels
+
+    def test_random_maps_cover_the_cases(self):
+        # the seeds above reach every case the painter distinguishes
+        single = near = behind = clipped = 0
+        for seed in range(6):
+            vmap, frame, K = random_scene_map(seed, 0.05)
+            for inst in vmap.instances.values():
+                keys = np.array(sorted(inst.voxels))
+                _, _, d = world_to_pixel((keys + 0.5) * 0.05, K, frame.pose)
+                single += len(keys) == 1
+                near += bool(((d > 0) & (d < 0.8)).any())
+                behind += bool((d <= 0).any())
+            labels = project_instance_masks(vmap, frame, K)
+            clipped += sum(bool(lab.mask[:, [0, -1]].any()
+                                or lab.mask[[0, -1], :].any())
+                           for lab in labels)
+        assert min(single, near, behind, clipped) > 0
+
+    def test_equal_depth_tie_goes_to_lower_uid(self, cam):
+        # two classes side by side at the same planar depth: two instances
+        # whose 5x5 footprints share two columns
+        vmap = map_from_voxels({(20, 0, 25): 1, (20, 1, 25): 2})
+        pose = Pose(0, 0, 0, camera_height=1.25)
+        depth = np.full((cam.height, cam.width), 1.025)
+        frame = FrameObservation(pose=pose, depth=depth,
+                                 gt_instance=np.zeros(depth.shape, np.int32))
+        labels = assert_matches_painter(vmap, frame, cam, None)
+        assert [lab.uid for lab in labels] == [0, 1]
+        alone = []
+        for key, class_id in (((20, 0, 25), 1), ((20, 1, 25), 2)):
+            one = map_from_voxels({key: class_id})
+            alone.append(project_instance_masks(one, frame, cam)[0].mask)
+        shared = alone[0] & alone[1]
+        assert shared.any()
+        assert labels[0].mask[shared].all()
+        assert not labels[1].mask[shared].any()
 
 
 @pytest.fixture(scope="module")
