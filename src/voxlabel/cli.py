@@ -1,8 +1,8 @@
 """Command-line entry points.
 
-Subcommands: scene gen, explore, labels build, eval, train toy,
-pipeline run, grid run. Output root defaults to the VOXLABEL_OUT
-environment variable or ./runs.
+Subcommands: scene gen, pipeline run (explore, labels, eval and, with
+--train, toy training) and grid run. Output root defaults to the
+VOXLABEL_OUT environment variable or ./runs.
 """
 
 from __future__ import annotations
@@ -31,12 +31,10 @@ def _load_config(args) -> RunConfig:
         config = RunConfig()
     overrides = {}
     for attr in ("policy", "steps", "seed", "alpha", "voxel_size",
-                 "min_instance_voxels", "scene_file"):
+                 "min_instance_voxels", "scene_file", "scene_seed"):
         value = getattr(args, attr, None)
         if value is not None:
             overrides[attr] = value
-    if getattr(args, "scene_seed", None) is not None:
-        overrides["scene_seed"] = args.scene_seed
     if overrides:
         config = replace(config, **overrides)
     tc_over = {}
@@ -75,20 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default="scene.json")
 
-    explore = top.add_parser("explore", help="run an exploration episode")
-    _add_common(explore)
-
-    labels = top.add_parser("labels").add_subparsers(dest="cmd", required=True)
-    lb = labels.add_parser("build", help="explore + build pseudo-labels")
-    _add_common(lb)
-
-    ev = top.add_parser("eval", help="explore + labels + evaluation")
-    _add_common(ev)
-
-    train = top.add_parser("train").add_subparsers(dest="cmd", required=True)
-    toy = train.add_parser("toy", help="full pipeline including toy training")
-    _add_common(toy)
-
     pipe = top.add_parser("pipeline").add_subparsers(dest="cmd", required=True)
     run = pipe.add_parser("run", help="full pipeline")
     _add_common(run)
@@ -125,7 +109,7 @@ def main(argv=None) -> int:
         print(f"aggregate CSV: {path}")
         return 0
 
-    if args.group == "train" or getattr(args, "train", False):
+    if args.train:
         config = replace(config, train=True)
     manifest = run_pipeline(config, out)
     print(json.dumps(manifest, indent=2))

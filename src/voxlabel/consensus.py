@@ -1,17 +1,20 @@
 """Semantic voxel map: accumulation, label consensus, instance extraction.
 
-Detections are lifted to 3D through the depth image and binned into a sparse
-voxel grid. Each voxel keeps every (logits, score) observation; consensus
-assigns the class of the single maximum-score observation, 26-connected
-components of equal class become instances, and each instance gets a
-consistent probability vector: the mean softmax over its contributing
-detections (one vote per detection, not per voxel hit).
+Detections are lifted to 3D through the depth image and binned into voxels.
+Each key (ix, iy, iz) packs into one order-preserving int64; an observation
+(one detection) stores its unique packed keys. Consensus sorts all
+(key, observation) pairs by key, descending score, then class, so each key's
+first row is its class. Same-class 26-neighbours, found by binary search in
+the sorted keys, form sparse connected components: the instances. Each
+instance gets a consistent probability vector: the mean softmax over its
+contributing detections (one vote per detection, not per voxel hit).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+import itertools
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,80 +27,85 @@ DEFAULT_VOXEL_SIZE = 0.05
 # moderate-noise frontier scenario (mean pseudo-label mAP gain peaked there).
 DEFAULT_MIN_INSTANCE_VOXELS = 50
 
+# 21 bits per axis. Keys stay strictly inside +-_KEY_LIMIT so that a key's
+# 26 neighbours are packable too and adding a packed offset never carries
+# from one axis into the next.
+_AXIS_BITS = 21
+_SHIFTS = np.array([2 * _AXIS_BITS, _AXIS_BITS, 0])
+_KEY_OFFSET = 1 << (_AXIS_BITS - 1)
+_KEY_LIMIT = _KEY_OFFSET - 1
 
-@dataclass
-class VoxelRecord:
-    """Observation ids landing in one voxel, plus post-resolution labels."""
 
-    obs_ids: list = field(default_factory=list)
-    resolved_class: int | None = None
-    instance_id: int | None = None
+def _pack(keys) -> np.ndarray:
+    """(n, 3) integer voxel keys -> (n,) int64, order-preserving."""
+    k = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+    if k.size and (k.min() <= -_KEY_LIMIT or k.max() >= _KEY_LIMIT):
+        raise ValueError(f"voxel keys must lie within +-{_KEY_LIMIT - 1} of the "
+                         f"origin; use a larger voxel_size")
+    return ((k + _KEY_OFFSET) << _SHIFTS).sum(axis=1)
+
+
+# the 13 neighbour offsets that follow (0, 0, 0) in lexicographic order; each
+# 26-neighbour pair is found once, from its lower key
+_FORWARD_DELTAS = [int(np.dot(d, 1 << _SHIFTS)) for d in
+                   itertools.product((-1, 0, 1), repeat=3) if d > (0, 0, 0)]
+
+
+class Observation(NamedTuple):
+    keys: np.ndarray        # sorted unique packed voxel keys
+    logits: np.ndarray
+    score: float
+    frame_index: int
+    det_index: int
 
 
 @dataclass
 class InstanceRecord:
-    """One extracted 3D instance.
-
-    `voxels` is the source of truth and is fixed after extraction:
-    `sorted_keys` is computed from it once and never refreshed.
-    """
+    """One extracted 3D instance."""
 
     uid: int
     class_id: int
-    voxels: set              # set[(ix, iy, iz)]
+    voxels: np.ndarray       # (n, 3) int64 keys in lexicographic order
     consistent_logits: np.ndarray | None = None
-
-    @cached_property
-    def sorted_keys(self) -> np.ndarray:
-        """(n, 3) int64 voxel keys in lexicographic order."""
-        return np.array(sorted(self.voxels), dtype=np.int64)
 
 
 class SemanticVoxelMap:
     """Sparse voxel grid accumulating per-detection logit observations.
 
-    Observations live in flat parallel arrays; voxels reference them by id so
-    a detection spanning many voxels is stored once.
+    After resolution `voxels` holds the (n, 3) int64 occupied keys in
+    lexicographic order, with `voxel_class` and `voxel_instance` (-1 for no
+    instance) aligned to it.
     """
 
-    def __init__(self, voxel_size: float = DEFAULT_VOXEL_SIZE,
-                 resolve_mode: str = "max_observation"):
-        if resolve_mode not in ("max_observation", "summed_softmax"):
-            raise ValueError(f"unknown resolve_mode: {resolve_mode}")
+    def __init__(self, voxel_size: float = DEFAULT_VOXEL_SIZE):
         if not voxel_size > 0:
             raise ValueError(f"voxel_size must be positive, got {voxel_size}")
         self.voxel_size = voxel_size
-        self.resolve_mode = resolve_mode
-        self.voxels: dict = {}          # (ix, iy, iz) -> VoxelRecord
+        self.observations: list = []    # Observation, indexed by obs id
+        self.voxels = np.zeros((0, 3), dtype=np.int64)
+        self.voxel_class = self.voxel_instance = np.zeros(0, dtype=np.int64)
         self.instances: dict = {}       # uid -> InstanceRecord
-        self.resolved = False
-        self.extracted = False
-        # flat observation table
-        self.obs_logits: list = []      # np.ndarray (6,)
-        self.obs_score: list = []
-        self.obs_class: list = []       # argmax of logits
-        self.obs_frame: list = []
-        self.obs_det: list = []
+        self.resolved = self.extracted = False
+        # (packed key, obs id) of every observation, sorted as in resolution
+        self._pair_key = self._pair_obs = np.zeros(0, dtype=np.int64)
 
-    def world_to_key(self, pts: np.ndarray) -> np.ndarray:
-        return np.floor(np.asarray(pts) / self.voxel_size).astype(np.int64)
-
-    def _register_obs(self, logits: np.ndarray, score: float,
-                      frame_index: int, det_index: int) -> int:
-        self.obs_logits.append(np.asarray(logits, dtype=float))
-        self.obs_score.append(float(score))
-        self.obs_class.append(int(np.argmax(logits)))
-        self.obs_frame.append(frame_index)
-        self.obs_det.append(det_index)
-        return len(self.obs_score) - 1
+    def add_observation(self, keys, logits, score: float, frame_index: int,
+                        det_index: int) -> int:
+        """Record one detection covering the (n, 3) voxel keys; returns its id."""
+        if self.resolved:
+            raise ValueError("cannot accumulate into a resolved map")
+        self.observations.append(Observation(
+            np.unique(_pack(keys)), np.asarray(logits, dtype=float),
+            float(score), frame_index, det_index))
+        return len(self.observations) - 1
 
 
 def accumulate_frame(vmap: SemanticVoxelMap, frame: FrameObservation,
                      dets: DetectionSet, K: CameraIntrinsics) -> SemanticVoxelMap:
     """Lift every valid mask pixel of every detection into its voxel.
 
-    Each pixel appends one observation reference; pixels with zero depth are
-    skipped. Must be called before resolution.
+    Each detection with at least one valid pixel becomes one observation;
+    pixels with zero depth are skipped. Must be called before resolution.
     """
     if vmap.resolved:
         raise ValueError("cannot accumulate into a resolved map")
@@ -108,46 +116,53 @@ def accumulate_frame(vmap: SemanticVoxelMap, frame: FrameObservation,
         if not valid.any():
             continue
         pts = pixel_to_world(us[valid], vs[valid], d[valid], K, frame.pose)
-        keys = vmap.world_to_key(pts)
-        obs_id = vmap._register_obs(det.logits, det.score,
-                                    dets.frame_index, det_index)
-        uniq, counts = np.unique(keys, axis=0, return_counts=True)
-        for key, count in zip(map(tuple, uniq.tolist()), counts.tolist()):
-            rec = vmap.voxels.get(key)
-            if rec is None:
-                rec = VoxelRecord()
-                vmap.voxels[key] = rec
-            rec.obs_ids.extend([obs_id] * count)
+        vmap.add_observation(np.floor(pts / vmap.voxel_size).astype(np.int64),
+                             det.logits, det.score, dets.frame_index, det_index)
     return vmap
 
 
 def resolve_voxels(vmap: SemanticVoxelMap) -> SemanticVoxelMap:
     """Assign each voxel the class of its maximum-score observation.
 
-    Ties break by lower class index, then lower (frame, detection) index.
-    The alternative summed_softmax mode takes the argmax of summed softmax
-    mass instead; it is not the default. Idempotent.
+    A score tie goes to the lower class index. Idempotent; clears any
+    extracted instances.
     """
-    score = np.array(vmap.obs_score)
-    cls = np.array(vmap.obs_class, dtype=int)
-    frame = np.array(vmap.obs_frame, dtype=int)
-    det = np.array(vmap.obs_det, dtype=int)
-    if vmap.resolve_mode == "summed_softmax":
-        probs = np.stack(vmap.obs_logits) if vmap.obs_logits else np.zeros((0, 6))
-        probs = softmax(probs) if len(probs) else probs
-    for rec in vmap.voxels.values():
-        ids = np.array(rec.obs_ids, dtype=int)
-        if vmap.resolve_mode == "max_observation":
-            s = score[ids]
-            best = s.max()
-            cand = ids[s == best]
-            order = np.lexsort((det[cand], frame[cand], cls[cand]))
-            rec.resolved_class = int(cls[cand[order[0]]])
-        else:
-            mass = probs[ids].sum(axis=0)
-            rec.resolved_class = int(np.argmax(mass))
-    vmap.resolved = True
+    obs = vmap.observations
+    score = np.array([o.score for o in obs], dtype=float)
+    cls = np.array([np.argmax(o.logits) for o in obs], dtype=np.int64)
+    obs_id = np.repeat(np.arange(len(obs)), [len(o.keys) for o in obs])
+    key = np.concatenate([o.keys for o in obs] or [np.zeros(0, np.int64)])
+    order = np.lexsort((cls[obs_id], -score[obs_id], key))
+    key, obs_id = key[order], obs_id[order]
+    first = np.diff(key, prepend=-1) != 0   # packed keys are non-negative
+    vmap._pair_key, vmap._pair_obs = key, obs_id
+    unpacked = (key[first, None] >> _SHIFTS) & (2 * _KEY_OFFSET - 1)
+    vmap.voxels = unpacked - _KEY_OFFSET
+    vmap.voxel_class = cls[obs_id[first]]
+    vmap.voxel_instance = np.full(len(vmap.voxels), -1, dtype=np.int64)
+    vmap.instances = {}
+    vmap.resolved, vmap.extracted = True, False
     return vmap
+
+
+def _lowest_index_components(n: int, src: np.ndarray,
+                             dst: np.ndarray) -> np.ndarray:
+    """Label each node 0..n-1 with the lowest node index of its component.
+
+    Each round hooks the larger root of every edge between two trees under
+    the smaller root, then points every node at its root.
+    """
+    root = np.arange(n)
+    while True:
+        a, b = root[src], root[dst]
+        apart = a != b
+        if not apart.any():
+            return root
+        src, dst, a, b = src[apart], dst[apart], a[apart], b[apart]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        nxt = root[root]
+        while not np.array_equal(nxt, root):
+            root, nxt = nxt, nxt[nxt]
 
 
 def extract_instances(vmap: SemanticVoxelMap,
@@ -156,41 +171,32 @@ def extract_instances(vmap: SemanticVoxelMap,
     """Group same-class voxels into 26-connected components.
 
     Components smaller than min_instance_voxels are discarded (their voxels
-    keep instance_id None). Surviving components get dense uids in the order
+    keep voxel_instance -1). Surviving components get dense uids in the order
     of their lexicographically minimal voxel key.
     """
-    from scipy import ndimage
-
     if not vmap.resolved:
         raise ValueError("map must be resolved before instance extraction")
-    by_class: dict = {}
-    for key, rec in vmap.voxels.items():
-        by_class.setdefault(rec.resolved_class, []).append(key)
+    packed, cls = _pack(vmap.voxels), vmap.voxel_class
+    n = len(packed)
+    src, dst = [], []
+    for delta in _FORWARD_DELTAS:
+        j = np.minimum(np.searchsorted(packed, packed + delta), n - 1)
+        hit = np.flatnonzero((packed[j] == packed + delta) & (cls[j] == cls))
+        src.append(hit)
+        dst.append(j[hit])
+    # keys are sorted, so a component's lowest index is its minimal key
+    root = _lowest_index_components(n, np.concatenate(src), np.concatenate(dst))
+    sizes = np.bincount(root, minlength=n)
+    keep = (root == np.arange(n)) & (sizes >= min_instance_voxels)
+    vmap.voxel_instance = np.where(keep, np.cumsum(keep) - 1, -1)[root]
 
-    components: list = []   # (min_key, class_id, [keys])
-    structure = np.ones((3, 3, 3), dtype=int)
-    for class_id in sorted(by_class):
-        keys = np.array(by_class[class_id], dtype=np.int64)
-        lo = keys.min(axis=0)
-        shape = (keys.max(axis=0) - lo + 1)
-        dense = np.zeros(tuple(shape), dtype=np.uint8)
-        idx = keys - lo
-        dense[idx[:, 0], idx[:, 1], idx[:, 2]] = 1
-        labels, n = ndimage.label(dense, structure=structure)
-        comp_of = labels[idx[:, 0], idx[:, 1], idx[:, 2]]
-        for k in range(1, n + 1):
-            member_keys = [tuple(key) for key in keys[comp_of == k].tolist()]
-            if len(member_keys) < min_instance_voxels:
-                continue
-            components.append((min(member_keys), class_id, member_keys))
-
-    components.sort(key=lambda c: c[0])
-    vmap.instances = {}
-    for uid, (_, class_id, member_keys) in enumerate(components):
-        vmap.instances[uid] = InstanceRecord(uid=uid, class_id=class_id,
-                                             voxels=set(member_keys))
-        for key in member_keys:
-            vmap.voxels[key].instance_id = uid
+    order = np.argsort(vmap.voxel_instance, kind="stable")
+    order = order[n - np.count_nonzero(vmap.voxel_instance >= 0):]
+    members = np.split(order, np.cumsum(sizes[keep]))[:-1]
+    vmap.instances = {
+        uid: InstanceRecord(uid=uid, class_id=int(cls[idx[0]]),
+                            voxels=vmap.voxels[idx])
+        for uid, idx in enumerate(members)}
     vmap.extracted = True
     return vmap
 
@@ -199,19 +205,22 @@ def consistent_logits(instance: InstanceRecord,
                       vmap: SemanticVoxelMap) -> np.ndarray:
     """Mean softmax over the instance's contributing detections.
 
-    A detection votes once regardless of how many of the instance's voxels it
-    touched. The result is stored on the instance.
+    A detection (frame, det) votes once regardless of how many of the
+    instance's voxels it touched; votes are summed in ascending observation
+    id order. The result is stored on the instance.
     """
-    obs_ids = set()
-    for key in instance.voxels:
-        obs_ids.update(vmap.voxels[key].obs_ids)
-    seen = {}
-    for oid in sorted(obs_ids):
-        seen[(vmap.obs_frame[oid], vmap.obs_det[oid])] = oid
-    if not seen:
+    if not vmap.resolved:
+        raise ValueError("map must be resolved before consistent logits")
+    packed = _pack(instance.voxels)
+    lo = np.searchsorted(vmap._pair_key, packed, side="left")
+    counts = np.searchsorted(vmap._pair_key, packed, side="right") - lo
+    rows = np.repeat(lo - np.cumsum(counts) + counts, counts) \
+        + np.arange(counts.sum())
+    obs = [vmap.observations[i] for i in np.unique(vmap._pair_obs[rows]).tolist()]
+    votes = {(o.frame_index, o.det_index): o.logits for o in obs}
+    if not votes:
         raise RuntimeError("instance with no contributing detections")
-    probs = np.stack([softmax(vmap.obs_logits[oid]) for oid in seen.values()])
-    lam = probs.mean(axis=0)
+    lam = np.stack([softmax(logits) for logits in votes.values()]).mean(axis=0)
     instance.consistent_logits = lam
     return lam
 
@@ -232,9 +241,11 @@ def map_to_json(vmap: SemanticVoxelMap) -> dict:
     return {
         "voxel_size": vmap.voxel_size,
         "voxels": [
-            {"key": list(key), "resolved_class": rec.resolved_class,
-             "instance_id": rec.instance_id}
-            for key, rec in sorted(vmap.voxels.items())
+            {"key": key, "resolved_class": class_id,
+             "instance_id": uid if uid >= 0 else None}
+            for key, class_id, uid in zip(vmap.voxels.tolist(),
+                                          vmap.voxel_class.tolist(),
+                                          vmap.voxel_instance.tolist())
         ],
         "instances": [
             {"u": inst.uid, "class_id": inst.class_id,

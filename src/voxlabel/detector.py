@@ -56,6 +56,11 @@ class NoiseModel:
         if self.mask_jitter_px < 0:
             raise ValueError(
                 f"mask_jitter_px must be non-negative, got {self.mask_jitter_px}")
+        if not 0.0 <= self.score_threshold <= 1.0:
+            raise ValueError(
+                f"score_threshold must lie in [0, 1], got {self.score_threshold}")
+        if self.min_pixels < 1:
+            raise ValueError(f"min_pixels must be >= 1, got {self.min_pixels}")
 
     @classmethod
     def noiseless(cls, min_pixels: int = 50) -> "NoiseModel":

@@ -71,7 +71,6 @@ class OccupancyGrid:
 @dataclass
 class AgentState:
     pose: Pose
-    step_count: int = 0
 
 
 @dataclass
@@ -287,7 +286,7 @@ def step_agent(scene: SceneSpec, agent: AgentState, action: Action) -> AgentStat
         ny = pose.y + FORWARD_STEP * math.sin(pose.yaw)
         if not _segment_blocked(scene, pose.x, pose.y, nx, ny):
             pose = replace(pose, x=nx, y=ny)
-    return AgentState(pose=pose, step_count=agent.step_count + 1)
+    return AgentState(pose=pose)
 
 
 def sample_start_pose(scene: SceneSpec, rng: np.random.Generator,
@@ -358,7 +357,7 @@ def run_episode(scene: SceneSpec, policy: str, noise: NoiseModel, n_steps: int,
     goal_rng = np.random.default_rng(derive_seed(seed, "goals"))
 
     pose = sample_start_pose(scene, pose_rng, camera_height=camera_height)
-    agent = AgentState(pose=pose, step_count=0)
+    agent = AgentState(pose=pose)
     grid = OccupancyGrid.for_scene(scene, cell_size=cell_size)
     nav = _Navigator(grid)
 

@@ -70,7 +70,7 @@ def project_instance_masks(vmap: SemanticVoxelMap, frame: FrameObservation,
     # from the same row inside a longer array
     parts = []
     for uid in sorted(vmap.instances):
-        centers = (vmap.instances[uid].sorted_keys + 0.5) * vmap.voxel_size
+        centers = (vmap.instances[uid].voxels + 0.5) * vmap.voxel_size
         u, v, d = world_to_pixel(centers, K, frame.pose)
         parts.append((u, v, d, np.full(len(d), uid)))
     u, v, d, owner = (np.concatenate(a) for a in zip(*parts))

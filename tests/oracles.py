@@ -150,6 +150,21 @@ def flood_fill_components(keys_by_class):
     return out
 
 
+def max_score_labels(observations):
+    """Per-voxel class by definition: the class of the highest-score
+    observation covering the voxel; a score tie goes to the lower class.
+
+    observations: iterable of (keys, class_id, score).
+    Returns dict (ix, iy, iz) -> class_id.
+    """
+    best = {}
+    for keys, class_id, score in observations:
+        for key in keys:
+            if key not in best or (-score, class_id) < best[key]:
+                best[key] = (-score, class_id)
+    return {key: class_id for key, (_, class_id) in best.items()}
+
+
 def softmax_ref(logits):
     x = np.asarray(logits, dtype=float)
     e = np.exp(x - x.max())

@@ -108,11 +108,11 @@ class TestAcceptance:
             logit_rows = rng.normal(0, 3, (n_obs, 6))
             vmap = SemanticVoxelMap()
             keys = [tuple(k) for k in rng.integers(0, 5, (n_obs, 3)).tolist()]
-            from voxlabel.consensus import VoxelRecord
             for i, row in enumerate(logit_rows):
-                oid = vmap._register_obs(row, 0.9, i, 0)
-                vmap.voxels.setdefault(keys[i], VoxelRecord()).obs_ids.append(oid)
-            inst = InstanceRecord(uid=0, class_id=0, voxels=set(keys))
+                vmap.add_observation([keys[i]], row, 0.9, i, 0)
+            resolve_voxels(vmap)
+            inst = InstanceRecord(uid=0, class_id=0,
+                                  voxels=np.array(sorted(set(keys))))
             lam = consistent_logits(inst, vmap)
             worst = max(worst, float(np.max(np.abs(lam - mean_softmax(logit_rows)))))
         ok = worst <= 1e-12
@@ -132,14 +132,11 @@ class TestAcceptance:
                 keys = {tuple(k) for k in rng.integers(0, 16, (n, 3)).tolist()}
                 keys = {(x + 100 * class_id, y, z) for x, y, z in keys}
                 by_class[class_id] = keys
-                oid = vmap._register_obs(
-                    np.eye(6)[class_id] * 5, 0.9, class_id, 0)
-                from voxlabel.consensus import VoxelRecord
-                for key in keys:
-                    vmap.voxels[key] = VoxelRecord(obs_ids=[oid])
+                vmap.add_observation(sorted(keys), np.eye(6)[class_id] * 5,
+                                     0.9, class_id, 0)
             resolve_voxels(vmap)
             extract_instances(vmap, min_instance_voxels=1)
-            got = {(i.class_id, frozenset(i.voxels))
+            got = {(i.class_id, frozenset(map(tuple, i.voxels.tolist())))
                    for i in vmap.instances.values()}
             want = set(flood_fill_components(by_class))
             assert got == want, f"trial {trial}"

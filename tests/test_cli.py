@@ -18,6 +18,12 @@ class TestParser:
         assert args.alphas == "0,0.1,0.7,1.0"
         assert args.workers == 1
 
+    @pytest.mark.parametrize("argv", [["explore"], ["labels", "build"],
+                                      ["eval"], ["train", "toy"]])
+    def test_removed_stage_commands_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
     def test_bad_policy_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["pipeline", "run", "--policy", "greedy"])

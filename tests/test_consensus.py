@@ -6,15 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxlabel.consensus import (DEFAULT_VOXEL_SIZE, InstanceRecord,
-                                SemanticVoxelMap, VoxelRecord,
-                                accumulate_frame, consistent_logits,
-                                extract_instances, finalize_map, map_to_json,
-                                resolve_voxels)
-from voxlabel.detector import Detection, DetectionSet, mask_bbox, softmax
+                                SemanticVoxelMap, accumulate_frame,
+                                consistent_logits, extract_instances,
+                                finalize_map, map_to_json, resolve_voxels)
+from voxlabel.detector import (Detection, DetectionSet, NoiseModel, mask_bbox,
+                               softmax)
+from voxlabel.explore import run_episode
+from voxlabel.reproject import build_pseudo_dataset
 from voxlabel.scene import (CameraIntrinsics, FrameObservation, Pose,
-                            pixel_to_world)
+                            SceneParams, generate_scene, pixel_to_world)
+from voxlabel.serialize import canonical_dumps
 
-from oracles import flood_fill_components, mean_softmax, softmax_ref
+from oracles import (flood_fill_components, max_score_labels, mean_softmax,
+                     softmax_ref)
 
 
 def logits_for(class_id, strength=5.0, n=6):
@@ -24,13 +28,27 @@ def logits_for(class_id, strength=5.0, n=6):
 
 
 def add_obs(vmap, keys, class_id, score, frame=0, det=0, logits=None):
-    """Register one observation and attach it to each key."""
+    """Add one observation covering every key."""
     if logits is None:
         logits = logits_for(class_id)
-    oid = vmap._register_obs(logits, score, frame, det)
-    for key in keys:
-        vmap.voxels.setdefault(key, VoxelRecord()).obs_ids.append(oid)
-    return oid
+    return vmap.add_observation(keys, logits, score, frame, det)
+
+
+def key_set(keys):
+    return {tuple(k) for k in np.asarray(keys).tolist()}
+
+
+def voxel_labels(vmap):
+    """{key: (resolved class, instance uid or None)} of a resolved map."""
+    return {tuple(k): (c, u if u >= 0 else None)
+            for k, c, u in zip(vmap.voxels.tolist(), vmap.voxel_class.tolist(),
+                               vmap.voxel_instance.tolist())}
+
+
+def instance(keys, class_id=0):
+    """Hand-built instance over the given keys."""
+    return InstanceRecord(uid=0, class_id=class_id,
+                          voxels=np.array(sorted(set(keys)), dtype=np.int64))
 
 
 def full_mask_detection(shape, class_id=1, score=0.9):
@@ -55,8 +73,9 @@ class TestAccumulate:
         # principal ray at depth 2 hits world (2, 0, 1.25)
         want = tuple(np.floor(np.array([2.0, 0.0, 1.25])
                               / DEFAULT_VOXEL_SIZE).astype(int))
-        assert set(vmap.voxels) == {want}
-        assert vmap.voxels[want].obs_ids == [0]
+        assert len(vmap.observations) == 1
+        resolve_voxels(vmap)
+        assert voxel_labels(vmap) == {want: (2, None)}
 
     def test_matches_per_pixel_oracle(self, cam_small):
         rng = np.random.default_rng(3)
@@ -80,9 +99,10 @@ class TestAccumulate:
                                    cam_small, pose)
                 key = tuple(int(math.floor(c / DEFAULT_VOXEL_SIZE)) for c in p)
                 want[key] = want.get(key, 0) + 1
-        got = {k: len(rec.obs_ids) for k, rec in vmap.voxels.items()}
-        assert got == want
-        assert vmap.obs_frame == [5] and vmap.obs_det == [0]
+        resolve_voxels(vmap)
+        assert key_set(vmap.voxels) == set(want)
+        assert [(o.frame_index, o.det_index)
+                for o in vmap.observations] == [(5, 0)]
 
     def test_zero_depth_pixels_skipped(self, cam):
         depth = np.zeros((cam.height, cam.width))
@@ -92,7 +112,9 @@ class TestAccumulate:
         det = full_mask_detection(depth.shape)
         vmap = SemanticVoxelMap()
         accumulate_frame(vmap, frame, DetectionSet(0, [det], [0]), cam)
-        assert vmap.voxels == {}
+        assert vmap.observations == []
+        resolve_voxels(vmap)
+        assert len(vmap.voxels) == 0
 
     def test_accumulate_after_resolve_rejected(self, cam):
         vmap = SemanticVoxelMap()
@@ -111,6 +133,17 @@ class TestAccumulate:
         with pytest.raises(ValueError, match="voxel_size"):
             SemanticVoxelMap(voxel_size=voxel_size)
 
+    @pytest.mark.parametrize("key", [(2 ** 20, 0, 0), (0, -2 ** 20, 0),
+                                     (0, 0, 2 ** 40)])
+    def test_rejects_unpackable_key(self, key):
+        with pytest.raises(ValueError, match="voxel_size"):
+            add_obs(SemanticVoxelMap(), [(0, 0, 0), key], class_id=1, score=0.9)
+
+    def test_add_after_resolve_rejected(self):
+        vmap = resolve_voxels(SemanticVoxelMap())
+        with pytest.raises(ValueError):
+            add_obs(vmap, [(0, 0, 0)], class_id=1, score=0.9)
+
 
 class TestResolve:
     def test_max_score_wins(self):
@@ -120,7 +153,7 @@ class TestResolve:
         add_obs(vmap, [key], class_id=1, score=0.9, frame=0, det=0)
         add_obs(vmap, [key], class_id=2, score=0.8, frame=1, det=0)
         resolve_voxels(vmap)
-        assert vmap.voxels[key].resolved_class == 1
+        assert voxel_labels(vmap)[key][0] == 1
 
     def test_score_tie_lower_class_index(self):
         # tv (5) and bed (2) both at 0.7: bed wins
@@ -129,7 +162,7 @@ class TestResolve:
         add_obs(vmap, [key], class_id=5, score=0.7, frame=0, det=0)
         add_obs(vmap, [key], class_id=2, score=0.7, frame=1, det=0)
         resolve_voxels(vmap)
-        assert vmap.voxels[key].resolved_class == 2
+        assert voxel_labels(vmap)[key][0] == 2
 
     def test_full_tie_earlier_frame(self):
         vmap = SemanticVoxelMap()
@@ -138,8 +171,8 @@ class TestResolve:
         add_obs(vmap, [key], class_id=4, score=0.7, frame=1, det=2,
                 logits=logits_for(4, strength=9.0))
         resolve_voxels(vmap)
-        # both candidates say class 4 either way; the chosen one is frame 1
-        assert vmap.voxels[key].resolved_class == 4
+        # both candidates say class 4
+        assert voxel_labels(vmap)[key][0] == 4
 
     def test_repeated_votes_do_not_outvote_score(self):
         # five 0.6-score couch observations lose to one 0.9 bed observation
@@ -149,16 +182,7 @@ class TestResolve:
             add_obs(vmap, [key], class_id=1, score=0.6, frame=i, det=0)
         add_obs(vmap, [key], class_id=2, score=0.9, frame=9, det=0)
         resolve_voxels(vmap)
-        assert vmap.voxels[key].resolved_class == 2
-
-    def test_summed_softmax_mode_counts_mass(self):
-        vmap = SemanticVoxelMap(resolve_mode="summed_softmax")
-        key = (0, 0, 0)
-        for i in range(5):
-            add_obs(vmap, [key], class_id=1, score=0.6, frame=i, det=0)
-        add_obs(vmap, [key], class_id=2, score=0.9, frame=9, det=0)
-        resolve_voxels(vmap)
-        assert vmap.voxels[key].resolved_class == 1
+        assert voxel_labels(vmap)[key][0] == 2
 
 
 class TestExtractInstances:
@@ -169,7 +193,7 @@ class TestExtractInstances:
         resolve_voxels(vmap)
         extract_instances(vmap, min_instance_voxels=1)
         assert len(vmap.instances) == 1
-        assert vmap.instances[0].voxels == set(keys)
+        assert key_set(vmap.instances[0].voxels) == set(keys)
 
     def test_gap_splits_component(self):
         vmap = SemanticVoxelMap()
@@ -194,8 +218,8 @@ class TestExtractInstances:
         resolve_voxels(vmap)
         extract_instances(vmap, min_instance_voxels=3)
         assert len(vmap.instances) == 1
-        assert vmap.instances[0].voxels == set(big)
-        assert vmap.voxels[(0, 0, 0)].instance_id is None
+        assert key_set(vmap.instances[0].voxels) == set(big)
+        assert voxel_labels(vmap)[(0, 0, 0)] == (1, None)
 
     def test_matches_flood_fill_oracle(self):
         rng = np.random.default_rng(11)
@@ -212,7 +236,7 @@ class TestExtractInstances:
                         frame=class_id)
             resolve_voxels(vmap)
             extract_instances(vmap, min_instance_voxels=1)
-            got = {(inst.class_id, frozenset(inst.voxels))
+            got = {(inst.class_id, frozenset(key_set(inst.voxels)))
                    for inst in vmap.instances.values()}
             want = set(flood_fill_components(by_class))
             assert got == want
@@ -229,7 +253,64 @@ class TestExtractInstances:
         extract_instances(vmap, min_instance_voxels=1)
         assert list(vmap.instances) == [0, 1]
         # uid 0 is the component with the smaller minimal key
-        assert vmap.instances[0].voxels == {(0, 0, 0)}
+        assert key_set(vmap.instances[0].voxels) == {(0, 0, 0)}
+
+
+class TestProperties:
+    @given(st.lists(st.tuples(
+        st.lists(st.tuples(*[st.integers(-4, 4)] * 3), min_size=1, max_size=12),
+        st.integers(0, 5), st.sampled_from([0.6, 0.75, 0.9])),
+        min_size=1, max_size=10))
+    @settings(max_examples=60, deadline=None)
+    def test_random_observations_match_oracles(self, observations):
+        vmap = SemanticVoxelMap()
+        for frame, (keys, class_id, score) in enumerate(observations):
+            add_obs(vmap, keys, class_id=class_id, score=score, frame=frame)
+        finalize_map(vmap, min_instance_voxels=1)
+        want = max_score_labels(observations)
+        got = voxel_labels(vmap)
+        assert {k: c for k, (c, _) in got.items()} == want
+        by_class: dict = {}
+        for key, class_id in want.items():
+            by_class.setdefault(class_id, set()).add(key)
+        assert {(i.class_id, frozenset(key_set(i.voxels)))
+                for i in vmap.instances.values()} \
+            == set(flood_fill_components(by_class))
+        for uid, inst in vmap.instances.items():
+            assert {got[k][1] for k in key_set(inst.voxels)} == {uid}
+        # uids follow the lexicographically minimal key of each instance
+        firsts = [tuple(vmap.instances[uid].voxels[0].tolist())
+                  for uid in sorted(vmap.instances)]
+        assert firsts == sorted(firsts)
+
+    def test_empty_map(self):
+        vmap = finalize_map(SemanticVoxelMap())
+        assert len(vmap.voxels) == 0 and len(vmap.instances) == 0
+        assert canonical_dumps(map_to_json(vmap)) == canonical_dumps(
+            {"voxel_size": DEFAULT_VOXEL_SIZE, "voxels": [], "instances": []})
+
+    def test_every_detection_dropped(self, cam):
+        scene = generate_scene(SceneParams(), seed=0)
+        traj, _ = run_episode(scene, "frontier", NoiseModel(dropout_base=1.0),
+                              20, cam, seed=0)
+        vmap = SemanticVoxelMap()
+        for frame, dets in zip(traj.frames, traj.detections):
+            accumulate_frame(vmap, frame, dets, cam)
+        finalize_map(vmap)
+        dataset = build_pseudo_dataset(traj, vmap, cam)
+        assert len(dataset) == 20
+        assert all(labels == [] for labels in dataset.frames)
+        assert len(vmap.voxels) == 0
+
+    def test_far_apart_voxels_extract_in_bounded_memory(self):
+        # a dense bounding-box labelling would need 10^15 cells here
+        vmap = SemanticVoxelMap()
+        add_obs(vmap, [(0, 0, 0), (1, 1, 1), (10 ** 5,) * 3], class_id=3,
+                score=0.9)
+        resolve_voxels(vmap)
+        extract_instances(vmap, min_instance_voxels=1)
+        assert [key_set(i.voxels) for i in vmap.instances.values()] \
+            == [{(0, 0, 0), (1, 1, 1)}, {(10 ** 5,) * 3}]
 
 
 class TestConsistentLogits:
@@ -237,8 +318,8 @@ class TestConsistentLogits:
         vmap = SemanticVoxelMap()
         add_obs(vmap, [(0, 0, 0)], class_id=1, score=0.9,
                 logits=np.array([math.log(2), 0.0, 0.0]))
-        inst = InstanceRecord(uid=0, class_id=1, voxels={(0, 0, 0)})
-        lam = consistent_logits(inst, vmap)
+        resolve_voxels(vmap)
+        lam = consistent_logits(instance([(0, 0, 0)], class_id=1), vmap)
         assert np.allclose(lam, [0.5, 0.25, 0.25], atol=1e-12)
 
     def test_two_detection_example(self):
@@ -248,8 +329,8 @@ class TestConsistentLogits:
                 logits=np.array([math.log(2), 0.0, 0.0]))
         add_obs(vmap, [(0, 0, 0)], class_id=0, score=0.9, frame=1,
                 logits=np.zeros(3))
-        inst = InstanceRecord(uid=0, class_id=0, voxels={(0, 0, 0)})
-        lam = consistent_logits(inst, vmap)
+        resolve_voxels(vmap)
+        lam = consistent_logits(instance([(0, 0, 0)]), vmap)
         assert np.allclose(lam, [5 / 12, 7 / 24, 7 / 24], atol=1e-12)
 
     def test_detection_votes_once_across_voxels(self):
@@ -260,8 +341,8 @@ class TestConsistentLogits:
                 logits=np.array([4.0, 0.0, 0.0]))
         add_obs(vmap, [wide[0]], class_id=1, score=0.9, frame=1,
                 logits=np.array([0.0, 4.0, 0.0]))
-        inst = InstanceRecord(uid=0, class_id=0, voxels=set(wide))
-        lam = consistent_logits(inst, vmap)
+        resolve_voxels(vmap)
+        lam = consistent_logits(instance(wide), vmap)
         want = mean_softmax([np.array([4.0, 0.0, 0.0]), np.array([0.0, 4.0, 0.0])])
         assert np.allclose(lam, want, atol=1e-12)
         assert abs(lam[0] - lam[1]) < 1e-12
@@ -274,8 +355,8 @@ class TestConsistentLogits:
         for i, row in enumerate(logit_rows):
             add_obs(vmap, [(0, 0, 0)], class_id=0, score=0.9, frame=i,
                     logits=np.array(row))
-        inst = InstanceRecord(uid=0, class_id=0, voxels={(0, 0, 0)})
-        lam = consistent_logits(inst, vmap)
+        resolve_voxels(vmap)
+        lam = consistent_logits(instance([(0, 0, 0)]), vmap)
         assert abs(lam.sum() - 1.0) < 1e-9
         assert (lam > 0).all()
         assert np.allclose(lam, mean_softmax([np.array(r) for r in logit_rows]),
@@ -323,11 +404,12 @@ class TestPipelineLevel:
             accumulate_frame(b, frame, dets, cam_small)
         finalize_map(a, min_instance_voxels=1)
         finalize_map(b, min_instance_voxels=1)
-        assert {k: r.resolved_class for k, r in a.voxels.items()} \
-            == {k: r.resolved_class for k, r in b.voxels.items()}
-        la = {frozenset(i.voxels): tuple(np.round(i.consistent_logits, 12))
+        assert voxel_labels(a) == voxel_labels(b)
+        la = {frozenset(key_set(i.voxels)):
+              tuple(np.round(i.consistent_logits, 12))
               for i in a.instances.values()}
-        lb = {frozenset(i.voxels): tuple(np.round(i.consistent_logits, 12))
+        lb = {frozenset(key_set(i.voxels)):
+              tuple(np.round(i.consistent_logits, 12))
               for i in b.instances.values()}
         assert la == lb
 

@@ -60,6 +60,20 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match="mask_jitter_px"):
             NoiseModel(mask_jitter_px=-1)
 
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+    def test_rejects_score_threshold_outside_unit_interval(self, threshold):
+        with pytest.raises(ValueError, match="score_threshold"):
+            NoiseModel(score_threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_accepts_score_threshold_bounds(self, threshold):
+        assert NoiseModel(score_threshold=threshold).score_threshold == threshold
+
+    @pytest.mark.parametrize("min_pixels", [0, -5])
+    def test_rejects_min_pixels_below_one(self, min_pixels):
+        with pytest.raises(ValueError, match="min_pixels"):
+            NoiseModel(min_pixels=min_pixels)
+
 
 @pytest.fixture
 def visible_scene(cam):

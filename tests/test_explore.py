@@ -189,7 +189,6 @@ class TestStepAgent:
         agent = AgentState(pose=Pose(x=2, y=2, yaw=0.0))
         out = step_agent(box_scene, agent, Action.TURN_LEFT)
         assert abs(out.pose.yaw - math.radians(10)) < 1e-12
-        assert out.step_count == 1
 
     def test_blocked_forward(self):
         scene = SceneSpec(bounds=Box(0, 0, 0, 4, 4, 3),
@@ -197,7 +196,6 @@ class TestStepAgent:
         agent = AgentState(pose=Pose(x=1.9, y=2.0, yaw=0.0))
         out = step_agent(scene, agent, Action.FORWARD)
         assert out.pose.x == agent.pose.x and out.pose.y == agent.pose.y
-        assert out.step_count == 1
 
     def test_free_forward(self):
         scene = SceneSpec(bounds=Box(0, 0, 0, 4, 4, 3), obstacles=(), objects=())

@@ -17,9 +17,7 @@ from oracles import painter_reproject
 def single_voxel_map(key=(40, 0, 25)):
     """Map with one resolved single-voxel instance at the given key."""
     vmap = SemanticVoxelMap()
-    oid = vmap._register_obs(np.array([0, 0, 5.0, 0, 0, 0]), 0.9, 0, 0)
-    from voxlabel.consensus import VoxelRecord
-    vmap.voxels[key] = VoxelRecord(obs_ids=[oid])
+    vmap.add_observation([key], np.array([0, 0, 5.0, 0, 0, 0]), 0.9, 0, 0)
     finalize_map(vmap, min_instance_voxels=1)
     assert len(vmap.instances) == 1
     return vmap
@@ -84,13 +82,12 @@ class TestProjectInstanceMasks:
         assert project_instance_masks(vmap, frame, cam) == []
 
     def test_nearer_instance_wins_overlap(self, cam):
-        from voxlabel.consensus import VoxelRecord
         vmap = SemanticVoxelMap()
         near_key, far_key = (40, 0, 25), (80, 0, 25)    # 2.025 m and 4.025 m
-        o1 = vmap._register_obs(np.array([5.0, 0, 0, 0, 0, 0]), 0.9, 0, 0)
-        o2 = vmap._register_obs(np.array([0, 5.0, 0, 0, 0, 0]), 0.9, 1, 0)
-        vmap.voxels[near_key] = VoxelRecord(obs_ids=[o1])
-        vmap.voxels[far_key] = VoxelRecord(obs_ids=[o2])
+        vmap.add_observation([near_key], np.array([5.0, 0, 0, 0, 0, 0]),
+                             0.9, 0, 0)
+        vmap.add_observation([far_key], np.array([0, 5.0, 0, 0, 0, 0]),
+                             0.9, 1, 0)
         finalize_map(vmap, min_instance_voxels=1)
         pose = Pose(0, 0, 0, camera_height=1.25)
         # depth image agrees with the *near* voxel on the shared ray
@@ -127,13 +124,11 @@ class TestProjectInstanceMasks:
 
 def map_from_voxels(voxel_classes, voxel_size=0.05):
     """Extracted map, one observation per voxel, every component kept."""
-    from voxlabel.consensus import VoxelRecord
     vmap = SemanticVoxelMap(voxel_size=voxel_size)
     for det, (key, class_id) in enumerate(sorted(voxel_classes.items())):
         logits = np.zeros(6)
         logits[class_id] = 5.0
-        oid = vmap._register_obs(logits, 0.9, 0, det)
-        vmap.voxels[key] = VoxelRecord(obs_ids=[oid])
+        vmap.add_observation([key], logits, 0.9, 0, det)
     finalize_map(vmap, min_instance_voxels=1)
     return vmap
 
@@ -178,7 +173,7 @@ def assert_matches_painter(vmap, frame, K, tolerance):
     labels = project_instance_masks(vmap, frame, K,
                                     occlusion_tolerance=tolerance)
     tol = 2.0 * vmap.voxel_size if tolerance is None else tolerance
-    winner = painter_reproject({uid: inst.voxels
+    winner = painter_reproject({uid: map(tuple, inst.voxels.tolist())
                                 for uid, inst in vmap.instances.items()},
                                vmap.voxel_size, frame.depth, K, frame.pose, tol)
     expected = sorted(set(winner[winner >= 0].tolist()))
@@ -208,7 +203,7 @@ class TestPainterOracle:
         for seed in range(6):
             vmap, frame, K = random_scene_map(seed, 0.05)
             for inst in vmap.instances.values():
-                keys = np.array(sorted(inst.voxels))
+                keys = inst.voxels
                 _, _, d = world_to_pixel((keys + 0.5) * 0.05, K, frame.pose)
                 single += len(keys) == 1
                 near += bool(((d > 0) & (d < 0.8)).any())
