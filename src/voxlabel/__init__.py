@@ -22,6 +22,6 @@ from .reproject import (PseudoDataset, PseudoLabel, build_pseudo_dataset,
 from .losses import (LossValue, TrainConfig, detection_loss, distill_loss,
                      head_loss, toy_finetune, triplet_loss)
 from .evaluate import EvalReport, average_precision, evaluate_pseudo_labels, iou
-from .pipeline import RunConfig, run_grid, run_pipeline
+from .pipeline import RunConfig, load_run, run_grid, run_pipeline
 
 __version__ = "0.1.0"

@@ -145,10 +145,7 @@ def evaluate_pseudo_labels(dataset_or_dets, trajectory, scene: SceneSpec,
     """
     from .reproject import PseudoDataset
 
-    if isinstance(dataset_or_dets, PseudoDataset):
-        if len(dataset_or_dets) != len(trajectory.frames):
-            raise ValueError("dataset/trajectory mismatch")
-    elif len(dataset_or_dets) != len(trajectory.frames):
+    if len(dataset_or_dets) != len(trajectory.frames):
         raise ValueError("dataset/trajectory mismatch")
 
     gt_per_class = {c: ([], []) for c in range(NUM_CLASSES)}  # boxes, frames

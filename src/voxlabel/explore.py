@@ -196,8 +196,6 @@ def next_goal(policy: str, grid: OccupancyGrid, agent: AgentState,
         return None
     if policy == "random":
         candidates = sorted(dist.keys())
-        if not candidates:
-            return None
         idx = int(rng.integers(len(candidates)))
         return candidates[idx]
     if policy == "frontier":

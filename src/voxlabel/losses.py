@@ -29,8 +29,7 @@ def _check_finite(x, what: str):
         raise ValueError(what)
 
 
-def triplet_loss(features: np.ndarray, uids, margin: float = 0.3,
-                 mining: str = "batch_all") -> LossValue:
+def triplet_loss(features: np.ndarray, uids, margin: float = 0.3) -> LossValue:
     """Batch-all triplet loss over instance-tagged feature vectors.
 
     features: (k, d); uids: (k,) instance identifiers. Loss is the mean of
@@ -52,65 +51,37 @@ def triplet_loss(features: np.ndarray, uids, margin: float = 0.3,
     same = uids[:, None] == uids[None, :]
     not_self = ~np.eye(k, dtype=bool)
 
-    if mining == "batch_all":
-        pos_pairs = np.argwhere(same & not_self)          # (a, p)
-        if pos_pairs.size == 0:
-            return LossValue(0.0, {"features": grads})
-        A, P, N = [], [], []
-        for a, p in pos_pairs:
-            negs = np.nonzero(~same[a])[0]
-            A.extend([a] * len(negs))
-            P.extend([p] * len(negs))
-            N.extend(negs.tolist())
-        if not A:
-            return LossValue(0.0, {"features": grads})
-        A = np.array(A)
-        P = np.array(P)
-        N = np.array(N)
-        terms = dist[A, P] - dist[A, N] + margin
-        active = terms > 0
-        if not active.any():
-            return LossValue(0.0, {"features": grads})
-        A, P, N = A[active], P[active], N[active]
-        value = float(terms[active].mean())
-        n_active = A.size
+    pos_pairs = np.argwhere(same & not_self)          # (a, p)
+    if pos_pairs.size == 0:
+        return LossValue(0.0, {"features": grads})
+    A, P, N = [], [], []
+    for a, p in pos_pairs:
+        negs = np.nonzero(~same[a])[0]
+        A.extend([a] * len(negs))
+        P.extend([p] * len(negs))
+        N.extend(negs.tolist())
+    if not A:
+        return LossValue(0.0, {"features": grads})
+    A = np.array(A)
+    P = np.array(P)
+    N = np.array(N)
+    terms = dist[A, P] - dist[A, N] + margin
+    active = terms > 0
+    if not active.any():
+        return LossValue(0.0, {"features": grads})
+    A, P, N = A[active], P[active], N[active]
+    value = float(terms[active].mean())
+    n_active = A.size
 
-        with np.errstate(invalid="ignore", divide="ignore"):
-            u_ap = np.where(dist[A, P][:, None] > 0,
-                            diff[A, P] / np.maximum(dist[A, P][:, None], 1e-300), 0.0)
-            u_an = np.where(dist[A, N][:, None] > 0,
-                            diff[A, N] / np.maximum(dist[A, N][:, None], 1e-300), 0.0)
-        np.add.at(grads, A, (u_ap - u_an) / n_active)
-        np.add.at(grads, P, -u_ap / n_active)
-        np.add.at(grads, N, u_an / n_active)
-        return LossValue(value, {"features": grads})
-
-    if mining == "batch_hard":
-        anchors = [a for a in range(k)
-                   if (same[a] & not_self[a]).any() and (~same[a]).any()]
-        if not anchors:
-            return LossValue(0.0, {"features": grads})
-        total = 0.0
-        contributions = []
-        for a in anchors:
-            pos = np.nonzero(same[a] & not_self[a])[0]
-            neg = np.nonzero(~same[a])[0]
-            p = pos[np.argmax(dist[a, pos])]
-            n = neg[np.argmin(dist[a, neg])]
-            term = dist[a, p] - dist[a, n] + margin
-            if term > 0:
-                total += term
-                contributions.append((a, p, n))
-        value = total / len(anchors)
-        for a, p, n in contributions:
-            u_ap = diff[a, p] / dist[a, p] if dist[a, p] > 0 else np.zeros(f.shape[1])
-            u_an = diff[a, n] / dist[a, n] if dist[a, n] > 0 else np.zeros(f.shape[1])
-            grads[a] += (u_ap - u_an) / len(anchors)
-            grads[p] += -u_ap / len(anchors)
-            grads[n] += u_an / len(anchors)
-        return LossValue(float(value), {"features": grads})
-
-    raise ValueError(f"unknown mining scheme: {mining}")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u_ap = np.where(dist[A, P][:, None] > 0,
+                        diff[A, P] / np.maximum(dist[A, P][:, None], 1e-300), 0.0)
+        u_an = np.where(dist[A, N][:, None] > 0,
+                        diff[A, N] / np.maximum(dist[A, N][:, None], 1e-300), 0.0)
+    np.add.at(grads, A, (u_ap - u_an) / n_active)
+    np.add.at(grads, P, -u_ap / n_active)
+    np.add.at(grads, N, u_an / n_active)
+    return LossValue(value, {"features": grads})
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
@@ -222,7 +193,6 @@ class TrainConfig:
     label_flip_prob: float = 0.0
     holdout_fraction: float = 0.2
     seed: int = 0
-    mining: str = "batch_all"
 
     def to_json(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -300,8 +270,7 @@ def toy_finetune(dataset, K, config: TrainConfig) -> dict:
         logits = F @ params["W_cls"].T + params["b_cls"]
         pbox = F @ params["W_box"].T + params["b_box"]
         emb = F @ params["W_emb"].T
-        im = triplet_loss(emb, uids[idx], margin=config.margin,
-                          mining=config.mining)
+        im = triplet_loss(emb, uids[idx], margin=config.margin)
         dist = distill_loss(logits, lambdas[idx])
         # batched head loss: mean CE + mean smooth-L1 over the batch
         logp = _log_softmax(logits)

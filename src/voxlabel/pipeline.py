@@ -2,7 +2,11 @@
 
 A single master seed derives every stage seed, so runs are reproducible and
 stages can be replayed independently. Each run writes its artifacts to its
-own directory along with a MANIFEST of content hashes.
+own directory along with a MANIFEST of content hashes; every file is written
+to a temporary name and renamed into place, and the MANIFEST reads "running"
+until the run ends. trajectory.jsonl keeps what cannot be recomputed, the
+poses and the detections; load_run reads a run back and re-renders its
+depth and gt-instance images from scene.json and config.json.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -25,8 +28,9 @@ from .evaluate import evaluate_pseudo_labels
 from .explore import Trajectory, run_episode
 from .losses import TrainConfig, toy_finetune
 from .reproject import build_pseudo_dataset, dataset_to_coco
-from .scene import CameraIntrinsics, SceneParams, SceneSpec, generate_scene
-from .serialize import canonical_dumps, derive_seed, rle_encode, sha256_file
+from .scene import (CameraIntrinsics, Pose, SceneParams, SceneSpec,
+                    generate_scene, render_frame)
+from .serialize import canonical_dumps, derive_seed, sha256_file
 
 logger = logging.getLogger(__name__)
 
@@ -106,7 +110,6 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, config_hash: str, cause: Exception):
         super().__init__(f"stage '{stage}' failed (config {config_hash}): {cause}")
         self.stage = stage
-        self.cause = cause
 
 
 def config_hash(config: RunConfig) -> str:
@@ -125,16 +128,39 @@ def _round_floats(x, ndigits=6):
 
 
 def trajectory_to_jsonl(trajectory: Trajectory) -> str:
-    lines = []
-    for frame, dets in zip(trajectory.frames, trajectory.detections):
-        record = {
-            "pose": frame.pose.to_json(),
-            "depth_rle": rle_encode(np.round(frame.depth, 4)),
-            "gt_instance_rle": rle_encode(frame.gt_instance),
-            "detections": dets.to_json(),
-        }
-        lines.append(canonical_dumps(record))
+    """One line per frame: {"pose": ..., "detections": ...}.
+
+    Depth and gt-instance images are a pure function of (scene, pose,
+    camera), so they are not stored; load_run re-renders them.
+    """
+    lines = [canonical_dumps({"pose": frame.pose.to_json(),
+                              "detections": dets.to_json()})
+             for frame, dets in zip(trajectory.frames, trajectory.detections)]
     return "\n".join(lines) + "\n"
+
+
+def load_run(run_dir) -> tuple[RunConfig, SceneSpec, Trajectory]:
+    """Read a run directory back as (config, scene, trajectory).
+
+    config.json, scene.json and trajectory.jsonl must each match its sha256
+    in MANIFEST.json, else ValueError names the file. Frames are re-rendered
+    from the scene, the recorded poses and the run's camera.
+    """
+    run = Path(run_dir)
+    hashes = json.loads((run / "MANIFEST.json").read_text())["files"]
+    for name in ("config.json", "scene.json", "trajectory.jsonl"):
+        path = run / name
+        if not path.exists() or sha256_file(path) != hashes.get(name):
+            raise ValueError(f"{name} is missing or does not match MANIFEST.json")
+    config = RunConfig.load(run / "config.json")
+    scene = SceneSpec.load(run / "scene.json")
+    frames, detections = [], []
+    for line in (run / "trajectory.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        frames.append(render_frame(scene, Pose.from_json(record["pose"]),
+                                   config.camera, max_range=config.max_range))
+        detections.append(DetectionSet.from_json(record["detections"]))
+    return config, scene, Trajectory(frames=frames, detections=detections)
 
 
 def build_scene(config: RunConfig) -> SceneSpec:
@@ -160,11 +186,14 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
     chash = config_hash(config)
     manifest = {"config_hash": chash, "status": "running", "files": {}}
 
-    def write(name: str, text: str):
-        path = out / name
-        path.write_text(text)
-        manifest["files"][name] = sha256_file(path)
+    def write_manifest():
+        _write_atomic(out / "MANIFEST.json", canonical_dumps(manifest) + "\n")
 
+    def write(name: str, text: str):
+        _write_atomic(out / name, text)
+        manifest["files"][name] = sha256_file(out / name)
+
+    write_manifest()
     write("config.json", canonical_dumps(config.to_json()) + "\n")
     stage = "scene"
     try:
@@ -215,12 +244,22 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
                   canonical_dumps(_round_floats(train_report, 9)) + "\n")
     except Exception as exc:
         manifest["status"] = f"failed at {stage}"
-        (out / "MANIFEST.json").write_text(canonical_dumps(manifest) + "\n")
+        write_manifest()
         raise StageError(stage, chash, exc) from exc
 
     manifest["status"] = "ok"
-    (out / "MANIFEST.json").write_text(canonical_dumps(manifest) + "\n")
+    write_manifest()
     return manifest
+
+
+def _write_atomic(path: Path, text: str):
+    """Write text to a temporary file next to path, then rename it over path."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 EVAL_CSV_COLUMNS = ["policy", "alpha", "seed", "map50"] + \
@@ -253,13 +292,9 @@ def run_grid(base: RunConfig, policies, alphas, seeds, out_root,
 
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
-    cells = [(p, a, s) for p in policies for a in alphas for s in seeds]
-
-    def cell_dir(p, a, s):
-        return out_root / f"{p}_alpha{a}_seed{s}"
-
-    jobs = [(replace(base, policy=p, alpha=a, seed=s), cell_dir(p, a, s))
-            for p, a, s in cells]
+    jobs = [(replace(base, policy=p, alpha=a, seed=s),
+             out_root / f"{p}_alpha{a}_seed{s}")
+            for p in policies for a in alphas for s in seeds]
     results = {}
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:

@@ -42,14 +42,13 @@ class TestTripletLoss:
         assert out.value == 0.0
         assert np.allclose(out.grads["features"], 0.0)
 
-    @pytest.mark.parametrize("mining", ["batch_all", "batch_hard"])
-    def test_gradient_matches_finite_differences(self, mining):
+    def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         f = rng.normal(0, 1.0, (6, 5))
         uids = np.array([0, 0, 1, 1, 2, 2])
-        out = triplet_loss(f, uids, margin=0.3, mining=mining)
+        out = triplet_loss(f, uids, margin=0.3)
         ref = finite_difference_grad(
-            lambda x: triplet_loss(x, uids, margin=0.3, mining=mining).value, f)
+            lambda x: triplet_loss(x, uids, margin=0.3).value, f)
         assert relative_error(out.grads["features"], ref) < 1e-5
 
     def test_orthogonal_invariance(self):
@@ -60,10 +59,6 @@ class TestTripletLoss:
         a = triplet_loss(f, uids).value
         b = triplet_loss(f @ q, uids).value
         assert abs(a - b) < 1e-10
-
-    def test_unknown_mining_rejected(self):
-        with pytest.raises(ValueError):
-            triplet_loss(np.zeros((2, 2)), [0, 0], mining="semi_hard")
 
 
 class TestDistillLoss:

@@ -8,11 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from voxlabel import pipeline
 from voxlabel.detector import NoiseModel
 from voxlabel.losses import TrainConfig
 from voxlabel.pipeline import (EVAL_CSV_COLUMNS, RunConfig, StageError,
-                               config_hash, run_grid, run_pipeline)
-from voxlabel.scene import SceneParams
+                               build_labels, config_hash, load_run, run_grid,
+                               run_pipeline)
+from voxlabel.reproject import build_pseudo_dataset, dataset_to_coco
+from voxlabel.scene import Box, SceneParams, SceneSpec
+from voxlabel.serialize import canonical_dumps
 
 
 def small_config(**kw):
@@ -90,6 +94,98 @@ class TestRunPipeline:
         run_pipeline(config, tmp_path / "b")
         assert (tmp_path / "a" / "scene.json").read_text() \
             == (tmp_path / "b" / "scene.json").read_text()
+
+
+    def test_interrupted_rerun_leaves_running_manifest(self, tmp_path,
+                                                       monkeypatch):
+        run_pipeline(small_config(steps=5), tmp_path)
+
+        def interrupt(trajectory, config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "build_labels", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(small_config(steps=5, seed=1), tmp_path)
+        manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
+        assert manifest["status"] == "running"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(EXPECTED_FILES)
+
+
+def record_episodes(monkeypatch) -> list:
+    """Collect every trajectory run_pipeline serializes."""
+    recorded = []
+    real = pipeline.trajectory_to_jsonl
+    monkeypatch.setattr(pipeline, "trajectory_to_jsonl",
+                        lambda t: recorded.append(t) or real(t))
+    return recorded
+
+
+class TestLoadRun:
+    def test_round_trip_reproduces_frames_and_labels(self, tmp_path, monkeypatch):
+        recorded = record_episodes(monkeypatch)
+        config = small_config(steps=30)
+        run_pipeline(config, tmp_path)
+        for line in (tmp_path / "trajectory.jsonl").read_text().splitlines():
+            assert set(json.loads(line)) == {"pose", "detections"}
+
+        loaded, scene, trajectory = load_run(tmp_path)
+        assert loaded == config
+        assert canonical_dumps(scene.to_json()) + "\n" \
+            == (tmp_path / "scene.json").read_text()
+        (episode,) = recorded
+        assert len(trajectory) == len(episode) == 30
+        for got, want in zip(trajectory.frames, episode.frames):
+            assert got.pose == want.pose
+            assert got.depth.tobytes() == want.depth.tobytes()
+            assert got.gt_instance.tobytes() == want.gt_instance.tobytes()
+        assert [d.to_json() for d in trajectory.detections] \
+            == [d.to_json() for d in episode.detections]
+
+        dataset = build_pseudo_dataset(
+            trajectory, build_labels(trajectory, loaded), loaded.camera,
+            occlusion_tolerance=loaded.occlusion_tolerance)
+        coco = pipeline._round_floats(dataset_to_coco(dataset, loaded.camera))
+        assert coco["annotations"]
+        assert canonical_dumps(coco) + "\n" \
+            == (tmp_path / "pseudo_dataset.json").read_text()
+
+    @pytest.mark.parametrize("name", ["config.json", "scene.json",
+                                      "trajectory.jsonl"])
+    def test_tampered_or_missing_file_rejected(self, tmp_path, name):
+        run_pipeline(small_config(steps=3), tmp_path)
+        path = tmp_path / name
+        path.write_text(path.read_text() + " ")
+        with pytest.raises(ValueError, match=name):
+            load_run(tmp_path)
+        path.unlink()
+        with pytest.raises(ValueError, match=name):
+            load_run(tmp_path)
+
+
+class TestDegenerateEpisodes:
+    def test_zero_objects(self, tmp_path):
+        config = small_config(steps=20, scene_params=SceneParams(
+            room_size_min=6.0, room_size_max=7.0, n_partitions=1,
+            objects_per_class_min=0, objects_per_class_max=0))
+        assert run_pipeline(config, tmp_path / "a")["status"] == "ok"
+        report = json.loads((tmp_path / "a" / "eval.json").read_text())
+        assert report["pseudo"]["map50"] == 0.0
+        coco = json.loads((tmp_path / "a" / "pseudo_dataset.json").read_text())
+        assert coco["annotations"] == []
+        assert len(coco["images"]) == 20
+        with pytest.raises(StageError) as err:
+            run_pipeline(replace(config, train=True), tmp_path / "b")
+        assert err.value.stage == "train"
+
+    def test_agent_boxed_in(self, tmp_path):
+        scene = SceneSpec(bounds=Box(0.0, 0.0, 0.0, 0.5, 0.5, 3.0),
+                          obstacles=(), objects=())
+        scene.save(tmp_path / "box.json")
+        config = small_config(steps=30, scene_file=str(tmp_path / "box.json"))
+        assert run_pipeline(config, tmp_path / "run")["status"] == "ok"
+        _, _, trajectory = load_run(tmp_path / "run")
+        assert len(trajectory) == 30
+        assert len({(f.pose.x, f.pose.y) for f in trajectory.frames}) == 1
 
 
 class TestRunConfig:
