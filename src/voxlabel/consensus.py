@@ -235,23 +235,3 @@ def finalize_map(vmap: SemanticVoxelMap,
         consistent_logits(inst, vmap)
     return vmap
 
-
-def map_to_json(vmap: SemanticVoxelMap) -> dict:
-    """Inspection / golden-file dump: resolved labels and instance summaries."""
-    return {
-        "voxel_size": vmap.voxel_size,
-        "voxels": [
-            {"key": key, "resolved_class": class_id,
-             "instance_id": uid if uid >= 0 else None}
-            for key, class_id, uid in zip(vmap.voxels.tolist(),
-                                          vmap.voxel_class.tolist(),
-                                          vmap.voxel_instance.tolist())
-        ],
-        "instances": [
-            {"u": inst.uid, "class_id": inst.class_id,
-             "lambda_bar": ([float(x) for x in inst.consistent_logits]
-                            if inst.consistent_logits is not None else None),
-             "voxel_count": len(inst.voxels)}
-            for inst in vmap.instances.values()
-        ],
-    }

@@ -64,9 +64,6 @@ class OccupancyGrid:
     def in_bounds(self, cell: tuple) -> bool:
         return 0 <= cell[0] < self.cells.shape[0] and 0 <= cell[1] < self.cells.shape[1]
 
-    def copy(self) -> "OccupancyGrid":
-        return OccupancyGrid(self.cell_size, self.cells.copy(), self.origin)
-
 
 @dataclass
 class AgentState:

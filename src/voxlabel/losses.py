@@ -194,6 +194,15 @@ class TrainConfig:
     holdout_fraction: float = 0.2
     seed: int = 0
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
+        if not 0 <= self.holdout_fraction <= 1:
+            raise ValueError("holdout_fraction must lie in [0, 1], "
+                             f"got {self.holdout_fraction}")
+
     def to_json(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 

@@ -12,6 +12,7 @@ depth and gt-instance images from scene.json and config.json.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import os
@@ -21,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .consensus import (DEFAULT_MIN_INSTANCE_VOXELS, DEFAULT_VOXEL_SIZE,
-                        SemanticVoxelMap, accumulate_frame, finalize_map,
-                        map_to_json)
+                        SemanticVoxelMap, accumulate_frame, finalize_map)
 from .detector import DetectionSet, NoiseModel
 from .evaluate import evaluate_pseudo_labels
 from .explore import Trajectory, run_episode
@@ -56,9 +56,16 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_range", "cell_size", "voxel_size"):
+        for name in ("max_range", "cell_size", "voxel_size", "camera_height"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("steps", "min_instance_voxels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, "
+                                 f"got {getattr(self, name)}")
+        if self.policy not in ("frontier", "random"):
+            raise ValueError("policy must be 'frontier' or 'random', "
+                             f"got {self.policy!r}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
         if self.occlusion_tolerance is not None and self.occlusion_tolerance < 0:
@@ -180,9 +187,15 @@ def build_labels(trajectory: Trajectory, config: RunConfig) -> SemanticVoxelMap:
 
 
 def run_pipeline(config: RunConfig, out_dir) -> dict:
-    """Execute every stage, write artifacts to out_dir, return the manifest."""
+    """Execute every stage, write artifacts to out_dir, return the manifest.
+
+    Files that the MANIFEST of an earlier run in out_dir lists and this run
+    will not write are deleted first.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _remove_stale(out, _ARTIFACTS + (("train_report.json",) if config.train
+                                     else ()))
     chash = config_hash(config)
     manifest = {"config_hash": chash, "status": "running", "files": {}}
 
@@ -210,8 +223,6 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
 
         stage = "labels"
         vmap = build_labels(trajectory, config)
-        write("voxelmap.json",
-              canonical_dumps(_round_floats(map_to_json(vmap))) + "\n")
         dataset = build_pseudo_dataset(
             trajectory, vmap, config.camera,
             occlusion_tolerance=config.occlusion_tolerance)
@@ -252,6 +263,24 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
     return manifest
 
 
+_ARTIFACTS = ("config.json", "scene.json", "trajectory.jsonl",
+              "pseudo_dataset.json", "eval.json", "eval.csv")
+
+
+def _remove_stale(out: Path, keep: tuple):
+    """Delete the files out/MANIFEST.json lists that are not in keep.
+
+    Only plain names directly inside out are deleted: no separator, no "..".
+    """
+    try:
+        listed = json.loads((out / "MANIFEST.json").read_text())["files"]
+    except FileNotFoundError:
+        return
+    for name in set(listed) - set(keep):
+        if name not in ("", "..") and Path(name).name == name:
+            (out / name).unlink(missing_ok=True)
+
+
 def _write_atomic(path: Path, text: str):
     """Write text to a temporary file next to path, then rename it over path."""
     tmp = path.with_name(path.name + ".tmp")
@@ -272,11 +301,12 @@ def eval_csv_text(config: RunConfig, pseudo_report, raw_report) -> str:
     row += [("" if a is None else round(a, 9)) for a in pseudo_report.per_class_ap]
     row += [round(raw_report.map50, 9),
             round(pseudo_report.map50 - raw_report.map50, 9)]
-    import io
+    return _csv_text([EVAL_CSV_COLUMNS, row])
+
+
+def _csv_text(rows) -> str:
     buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(EVAL_CSV_COLUMNS)
-    w.writerow(row)
+    csv.writer(buf).writerows(rows)
     return buf.getvalue()
 
 
@@ -309,7 +339,9 @@ def run_grid(base: RunConfig, policies, alphas, seeds, out_root,
         for cfg, d in jobs:
             results[(cfg.policy, cfg.alpha, cfg.seed)] = _run_cell(cfg, d)
 
-    rows = []
+    rows = [["policy", "alpha", "n_ok", "n_failed", "map50_mean", "map50_std",
+             "improvement_mean", "improvement_std", "accuracy_mean",
+             "accuracy_std"]]
     for p in policies:
         for a in alphas:
             cell = [results[(p, a, s)] for s in seeds]
@@ -329,12 +361,7 @@ def run_grid(base: RunConfig, policies, alphas, seeds, out_root,
                          i_mean, i_std, acc_mean, acc_std])
 
     agg_path = out_root / "aggregate.csv"
-    with open(agg_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["policy", "alpha", "n_ok", "n_failed",
-                    "map50_mean", "map50_std", "improvement_mean",
-                    "improvement_std", "accuracy_mean", "accuracy_std"])
-        w.writerows(rows)
+    _write_atomic(agg_path, _csv_text(rows))
     return str(agg_path)
 
 
@@ -345,14 +372,13 @@ def _cell_failure(cell, exc: Exception) -> dict:
 
 def _run_cell(config: RunConfig, out_dir) -> dict:
     try:
-        run_pipeline(config, out_dir)
+        manifest = run_pipeline(config, out_dir)
         with open(Path(out_dir) / "eval.json") as f:
             ev = json.load(f)
         result = {"status": "ok", "map50": ev["pseudo"]["map50"],
                   "improvement": ev["improvement"], "accuracy": None}
-        train_path = Path(out_dir) / "train_report.json"
-        if train_path.exists():
-            with open(train_path) as f:
+        if "train_report.json" in manifest["files"]:
+            with open(Path(out_dir) / "train_report.json") as f:
                 result["accuracy"] = json.load(f)["final_accuracy"]
     except StageError as exc:
         return {"status": f"failed: {exc.stage}"}

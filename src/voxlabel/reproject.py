@@ -63,17 +63,10 @@ def project_instance_masks(vmap: SemanticVoxelMap, frame: FrameObservation,
     if tol < 0:
         raise ValueError(f"occlusion_tolerance must be non-negative, got {tol}")
     H, W = K.height, K.width
-    if not vmap.instances:
-        return []
-
-    # one projection per instance: BLAS rounds a one-row matmul differently
-    # from the same row inside a longer array
-    parts = []
-    for uid in sorted(vmap.instances):
-        centers = (vmap.instances[uid].voxels + 0.5) * vmap.voxel_size
-        u, v, d = world_to_pixel(centers, K, frame.pose)
-        parts.append((u, v, d, np.full(len(d), uid)))
-    u, v, d, owner = (np.concatenate(a) for a in zip(*parts))
+    member = vmap.voxel_instance >= 0
+    owner = vmap.voxel_instance[member]
+    u, v, d = world_to_pixel((vmap.voxels[member] + 0.5) * vmap.voxel_size,
+                             K, frame.pose)
     ui = np.round(u).astype(int)
     vi = np.round(v).astype(int)
     ok = (d > 0) & (ui >= 0) & (ui < W) & (vi >= 0) & (vi < H)

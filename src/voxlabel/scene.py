@@ -380,15 +380,16 @@ def world_to_pixel(p, K: CameraIntrinsics, pose: Pose):
 
     Returns None for a single point behind the camera (Z <= 0). For arrays,
     returns (u, v, d) with d <= 0 marking behind-camera points; the caller
-    clips to image bounds.
+    clips to image bounds. Each point's result is bit-identical however
+    many points are projected with it.
     """
     p = np.asarray(p, dtype=float)
     single = p.ndim == 1
     rel = p - pose.position
-    right, down, forward = pose.basis()
-    X = rel @ right
-    Y = rel @ down
-    Z = rel @ forward
+    # elementwise multiply-adds: a BLAS product (rel @ axis) rounds a row
+    # differently depending on the length of the array around it
+    X, Y, Z = (rel[..., 0] * a[0] + rel[..., 1] * a[1] + rel[..., 2] * a[2]
+               for a in pose.basis())
     with np.errstate(divide="ignore", invalid="ignore"):
         u = X / Z * K.fx + K.cx
         v = Y / Z * K.fy + K.cy

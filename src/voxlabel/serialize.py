@@ -8,31 +8,21 @@ import json
 import numpy as np
 
 
-def rle_encode(arr: np.ndarray) -> list:
-    """Row-major run-length encoding: [[value, count], ...]."""
-    flat = np.asarray(arr).ravel()
+def rle_encode_bool(mask: np.ndarray) -> list:
+    """Row-major run-length encoding of a mask: [[0 or 1, count], ...]."""
+    flat = np.asarray(mask, dtype=np.uint8).ravel()
     if flat.size == 0:
         return []
-    change = np.nonzero(flat[1:] != flat[:-1])[0] + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [flat.size]))
-    return [[flat[s].item(), int(e - s)] for s, e in zip(starts, ends)]
-
-
-def rle_decode(runs: list, shape: tuple, dtype=float) -> np.ndarray:
-    if not runs:
-        return np.zeros(shape, dtype=dtype)
-    flat = np.concatenate([np.full(count, value, dtype=dtype)
-                           for value, count in runs])
-    return flat.reshape(shape)
-
-
-def rle_encode_bool(mask: np.ndarray) -> list:
-    return rle_encode(mask.astype(np.uint8))
+    starts = np.concatenate(([0], np.flatnonzero(flat[1:] != flat[:-1]) + 1))
+    counts = np.diff(starts, append=flat.size)
+    return [[v, c] for v, c in zip(flat[starts].tolist(), counts.tolist())]
 
 
 def rle_decode_bool(runs: list, shape: tuple) -> np.ndarray:
-    return rle_decode(runs, shape, dtype=np.uint8).astype(bool)
+    if not runs:
+        return np.zeros(shape, dtype=bool)
+    values, counts = zip(*runs)
+    return np.repeat(np.array(values, dtype=bool), counts).reshape(shape)
 
 
 def canonical_dumps(obj) -> str:

@@ -32,8 +32,8 @@ def small_config(**kw):
 
 
 EXPECTED_FILES = ["config.json", "scene.json", "trajectory.jsonl",
-                  "voxelmap.json", "pseudo_dataset.json", "eval.json",
-                  "eval.csv", "MANIFEST.json"]
+                  "pseudo_dataset.json", "eval.json", "eval.csv",
+                  "MANIFEST.json"]
 
 
 class TestRunPipeline:
@@ -109,6 +109,28 @@ class TestRunPipeline:
         manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
         assert manifest["status"] == "running"
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(EXPECTED_FILES)
+
+    def test_rerun_removes_files_it_does_not_write(self, tmp_path):
+        run_pipeline(small_config(steps=5, train=True), tmp_path)
+        assert (tmp_path / "train_report.json").exists()
+        result = pipeline._run_cell(small_config(steps=5, seed=1), tmp_path)
+        assert result["status"] == "ok" and result["accuracy"] is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(EXPECTED_FILES)
+
+    def test_stale_removal_stays_inside_the_run_directory(self, tmp_path):
+        run = tmp_path / "run"
+        (run / "sub").mkdir(parents=True)
+        for path in (tmp_path / "outside.txt", run / "sub" / "inner.txt",
+                     run / "stale.txt"):
+            path.write_text("x")
+        listed = ["../outside.txt", "sub/inner.txt", str(tmp_path / "outside.txt"),
+                  "..", "", "stale.txt"]
+        (run / "MANIFEST.json").write_text(json.dumps(
+            {"status": "ok", "files": dict.fromkeys(listed, "0")}))
+        run_pipeline(small_config(steps=1), run)
+        assert (tmp_path / "outside.txt").exists()
+        assert (run / "sub" / "inner.txt").exists()
+        assert not (run / "stale.txt").exists()
 
 
 def record_episodes(monkeypatch) -> list:
@@ -207,10 +229,25 @@ class TestRunConfig:
         assert config_hash(a) != config_hash(replace(a, alpha=0.1))
 
     @pytest.mark.parametrize("value", [0.0, -0.05])
-    @pytest.mark.parametrize("name", ["max_range", "cell_size", "voxel_size"])
+    @pytest.mark.parametrize("name", ["max_range", "cell_size", "voxel_size",
+                                      "camera_height"])
     def test_rejects_non_positive_geometry(self, name, value):
         with pytest.raises(ValueError, match=name):
             small_config(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("policy", "greedy"), ("steps", 0), ("steps", -1),
+        ("min_instance_voxels", 0)])
+    def test_rejects_out_of_range_run_settings(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            small_config(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("batch_size", 0), ("epochs", -1), ("holdout_fraction", -0.1),
+        ("holdout_fraction", 1.5)])
+    def test_rejects_out_of_range_train_settings(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
 
     @pytest.mark.parametrize("name", ["alpha", "occlusion_tolerance"])
     def test_rejects_negative_weights(self, name):

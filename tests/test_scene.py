@@ -177,6 +177,18 @@ class TestCameraModel:
             assert np.max(np.hypot(u2 - u, v2 - v)) < 0.5
             assert np.max(np.abs(d2 - d)) < 1e-9
 
+    def test_projection_independent_of_array_length(self, cam):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            pose = Pose(x=float(rng.uniform(-3, 3)), y=float(rng.uniform(-3, 3)),
+                        yaw=float(rng.uniform(-math.pi, math.pi)),
+                        camera_height=1.25)
+            pts = rng.uniform(-5, 5, (40, 3))
+            whole = np.stack(world_to_pixel(pts, cam, pose), axis=1)
+            for i in range(len(pts)):
+                alone = np.stack(world_to_pixel(pts[i:i + 1], cam, pose), axis=1)
+                assert alone.tobytes() == whole[i:i + 1].tobytes()
+
     def test_matches_homogeneous_matrix_oracle(self, cam):
         rng = np.random.default_rng(1)
         pose = Pose(x=0.7, y=-0.4, yaw=1.1, camera_height=1.25)
