@@ -34,9 +34,11 @@ def triplet_loss(features: np.ndarray, uids, margin: float = 0.3) -> LossValue:
 
     features: (k, d); uids: (k,) instance identifiers. Loss is the mean of
     max(0, ||a-p|| - ||a-n|| + margin) over active triplets (anchor/positive
-    share a uid, negative differs). Returns 0 with zero gradients when no
-    valid triplet exists. Gradient w.r.t. features under key "features";
-    subgradient 0 is used at zero distances and inactive triplets.
+    share a uid, negative differs; batch-all mining, Hermans et al. 2017,
+    arXiv:1703.07737). Returns 0 with zero gradients when no triplet is
+    active. Gradient w.r.t. features under key "features"; subgradient 0 is
+    used at zero distances and inactive triplets. Memory is O(k^2 + active
+    triplets): each anchor's (positives x negatives) block is built alone.
     """
     f = np.asarray(features, dtype=float)
     _check_finite(f, "invalid features")
@@ -49,28 +51,23 @@ def triplet_loss(features: np.ndarray, uids, margin: float = 0.3) -> LossValue:
     diff = f[:, None, :] - f[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
     same = uids[:, None] == uids[None, :]
-    not_self = ~np.eye(k, dtype=bool)
 
-    pos_pairs = np.argwhere(same & not_self)          # (a, p)
-    if pos_pairs.size == 0:
+    # active entries of each anchor's block, concatenated in (a, p, n) order
+    A, P, N, terms = [], [], [], []
+    for a in range(k):
+        pos = np.flatnonzero(same[a])
+        pos = pos[pos != a]
+        neg = np.flatnonzero(~same[a])
+        block = dist[a, pos][:, None] - dist[a, neg] + margin
+        pi, ni = np.nonzero(block > 0)
+        A.append(np.full(pi.size, a))
+        P.append(pos[pi])
+        N.append(neg[ni])
+        terms.append(block[pi, ni])
+    A, P, N = np.concatenate(A), np.concatenate(P), np.concatenate(N)
+    if A.size == 0:
         return LossValue(0.0, {"features": grads})
-    A, P, N = [], [], []
-    for a, p in pos_pairs:
-        negs = np.nonzero(~same[a])[0]
-        A.extend([a] * len(negs))
-        P.extend([p] * len(negs))
-        N.extend(negs.tolist())
-    if not A:
-        return LossValue(0.0, {"features": grads})
-    A = np.array(A)
-    P = np.array(P)
-    N = np.array(N)
-    terms = dist[A, P] - dist[A, N] + margin
-    active = terms > 0
-    if not active.any():
-        return LossValue(0.0, {"features": grads})
-    A, P, N = A[active], P[active], N[active]
-    value = float(terms[active].mean())
+    value = float(np.concatenate(terms).mean())
     n_active = A.size
 
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -119,33 +116,38 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def head_loss(pred_logits: np.ndarray, pred_box: np.ndarray, target_class: int,
-              target_box: np.ndarray,
+def head_loss(pred_logits: np.ndarray, pred_box: np.ndarray,
+              target_class: int | np.ndarray, target_box: np.ndarray,
               pred_mask_logits: np.ndarray | None = None,
               target_mask: np.ndarray | None = None) -> LossValue:
     """Hard-label CE + smooth-L1 box regression (+ optional mask BCE).
 
-    Boxes are (u_min, v_min, u_max, v_max) normalized to [0, 1]. The mask
-    term is the mean per-pixel binary cross-entropy over mask logits and is
-    included only when both mask arguments are supplied.
+    Takes one example ((C,) logits, (4,) boxes, an int class) or a batch
+    ((B, C) logits, (B, 4) boxes, (B,) classes). The value is the mean CE
+    plus the mean per-example smooth-L1 sum; gradients are divided by B and
+    come back in their input's shape. Boxes are (u_min, v_min, u_max, v_max)
+    normalized to [0, 1]; only the target box must be ordered, the predicted
+    one is regressor output. The mask term is the mean per-pixel binary
+    cross-entropy over mask logits and is included only when both mask
+    arguments are supplied.
     """
-    lam = np.asarray(pred_logits, dtype=float)
-    box = np.asarray(pred_box, dtype=float)
-    tbox = np.asarray(target_box, dtype=float)
+    lam = np.atleast_2d(np.asarray(pred_logits, dtype=float))
+    box = np.atleast_2d(np.asarray(pred_box, dtype=float))
+    tbox = np.atleast_2d(np.asarray(target_box, dtype=float))
+    cls = np.atleast_1d(target_class)
     _check_finite(lam, "invalid logits")
-    if box[2] < box[0] or box[3] < box[1] or tbox[2] < tbox[0] or tbox[3] < tbox[1]:
+    if np.any(tbox[:, 2] < tbox[:, 0]) or np.any(tbox[:, 3] < tbox[:, 1]):
         raise ValueError("invalid box")
-    if not 0 <= target_class < lam.shape[-1]:
+    if np.any((cls < 0) | (cls >= lam.shape[-1])):
         raise ValueError("invalid target class")
 
-    logp = _log_softmax(lam)
-    ce = float(-logp[target_class])
-    onehot = np.eye(lam.shape[-1])[target_class]
-    g_logits = softmax(lam) - onehot
-
+    B = lam.shape[0]
+    ce = float(-_log_softmax(lam)[np.arange(B), cls].mean())
+    g_logits = (softmax(lam) - np.eye(lam.shape[-1])[cls]) / B
     sl1, g_box = _smooth_l1(box - tbox)
-    value = ce + float(sl1.sum())
-    grads = {"logits": g_logits, "box": g_box}
+    value = ce + float(sl1.sum(axis=1).mean())
+    grads = {"logits": g_logits.reshape(np.shape(pred_logits)),
+             "box": (g_box / B).reshape(np.shape(pred_box))}
 
     if pred_mask_logits is not None and target_mask is not None:
         m = np.asarray(pred_mask_logits, dtype=float)
@@ -195,13 +197,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
-        if not 0 <= self.holdout_fraction <= 1:
-            raise ValueError("holdout_fraction must lie in [0, 1], "
-                             f"got {self.holdout_fraction}")
+        for name in ("batch_size", "feature_dim", "embed_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, "
+                                 f"got {getattr(self, name)}")
+        for name in ("epochs", "lr", "alpha"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, "
+                                 f"got {getattr(self, name)}")
+        for name in ("holdout_fraction", "label_flip_prob"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in [0, 1], "
+                                 f"got {getattr(self, name)}")
 
     def to_json(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -278,24 +285,14 @@ def toy_finetune(dataset, K, config: TrainConfig) -> dict:
         F = feats[idx]
         logits = F @ params["W_cls"].T + params["b_cls"]
         pbox = F @ params["W_box"].T + params["b_box"]
-        emb = F @ params["W_emb"].T
-        im = triplet_loss(emb, uids[idx], margin=config.margin)
+        im = triplet_loss(F @ params["W_emb"].T, uids[idx], margin=config.margin)
         dist = distill_loss(logits, lambdas[idx])
-        # batched head loss: mean CE + mean smooth-L1 over the batch
-        logp = _log_softmax(logits)
-        B = len(idx)
-        ce = float(-logp[np.arange(B), hard[idx]].mean())
-        onehot = np.eye(NUM_CLASSES)[hard[idx]]
-        g_logits_head = (softmax(logits) - onehot) / B
-        sl1, g_box = _smooth_l1(pbox - boxes[idx])
-        head = LossValue(ce + float(sl1.sum(axis=1).mean()),
-                         {"logits": g_logits_head, "box": g_box / B})
+        head = head_loss(logits, pbox, hard[idx], boxes[idx])
         total = detection_loss(im, dist, head, config.alpha)
-        return total, im, dist, head, F, emb
+        return total, im, dist, head, F
 
-    def apply_grads(total: LossValue, F, idx):
-        g_logits = (total.grads.get("distill.logits", 0)
-                    + total.grads.get("head.logits", 0))
+    def apply_grads(total: LossValue, F):
+        g_logits = total.grads["distill.logits"] + total.grads["head.logits"]
         g_box = total.grads["head.box"]
         g_emb = total.grads["im.features"]
         grads = {
@@ -311,7 +308,7 @@ def toy_finetune(dataset, K, config: TrainConfig) -> dict:
             params[k] += velocity[k]
 
     per_epoch = []
-    total0, im0, dist0, head0, _, _ = batch_losses(train_idx)
+    total0, im0, dist0, head0, _ = batch_losses(train_idx)
     per_epoch.append({"epoch": 0, "loss_total": total0.value,
                       "loss_im": im0.value, "loss_distill": dist0.value,
                       "loss_head": head0.value})
@@ -322,11 +319,11 @@ def toy_finetune(dataset, K, config: TrainConfig) -> dict:
         n_batches = 0
         for start in range(0, order.size, config.batch_size):
             idx = order[start:start + config.batch_size]
-            total, im, dist, head, F, _ = batch_losses(idx)
-            apply_grads(total, F, idx)
+            total, im, dist, head, F = batch_losses(idx)
+            apply_grads(total, F)
             sums += (total.value, im.value, dist.value, head.value)
             n_batches += 1
-        means = sums / max(n_batches, 1)
+        means = sums / n_batches
         per_epoch.append({"epoch": epoch + 1, "loss_total": means[0],
                           "loss_im": means[1], "loss_distill": means[2],
                           "loss_head": means[3]})

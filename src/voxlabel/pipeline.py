@@ -271,12 +271,14 @@ def _remove_stale(out: Path, keep: tuple):
     """Delete the files out/MANIFEST.json lists that are not in keep.
 
     Only plain names directly inside out are deleted: no separator, no "..".
+    train_report.json goes unless kept, listed or not: a MANIFEST left by
+    an interrupted run lists only the files that run had written.
     """
     try:
         listed = json.loads((out / "MANIFEST.json").read_text())["files"]
     except FileNotFoundError:
-        return
-    for name in set(listed) - set(keep):
+        listed = {}
+    for name in {*listed, "train_report.json"} - set(keep):
         if name not in ("", "..") and Path(name).name == name:
             (out / name).unlink(missing_ok=True)
 

@@ -239,6 +239,49 @@ def relative_error(a, b):
     return np.linalg.norm(np.asarray(a) - np.asarray(b)) / denom
 
 
+def batch_all_triplet(features, uids, margin=0.3):
+    """Batch-all triplet loss by a triple loop over (a, p, n).
+
+    Returns (value, grad). The mean is taken with np.mean over the active
+    terms in (a, p, n) order, and the gradient accumulates the anchor, then
+    the positive, then the negative contributions triplet by triplet, so a
+    kernel that keeps these orders matches it bit for bit.
+    """
+    f = np.asarray(features, dtype=float)
+    uids = np.asarray(uids).tolist()
+    k = f.shape[0]
+    grad = np.zeros_like(f)
+    dist, unit = {}, {}
+    for i in range(k):
+        for j in range(k):
+            d = f[i] - f[j]
+            dist[i, j] = float(np.sqrt(np.sum(d * d)))
+            unit[i, j] = d / dist[i, j] if dist[i, j] > 0 else np.zeros_like(d)
+
+    active = []
+    for a in range(k):
+        for p in range(k):
+            if p == a or uids[p] != uids[a]:
+                continue
+            for n in range(k):
+                if uids[n] == uids[a]:
+                    continue
+                term = dist[a, p] - dist[a, n] + margin
+                if term > 0:
+                    active.append((a, p, n, term))
+    if not active:
+        return 0.0, grad
+    value = float(np.mean([t[3] for t in active]))
+    m = len(active)
+    for a, p, n, _ in active:
+        grad[a] += (unit[a, p] - unit[a, n]) / m
+    for a, p, n, _ in active:
+        grad[p] += -unit[a, p] / m
+    for a, p, n, _ in active:
+        grad[n] += unit[a, n] / m
+    return value, grad
+
+
 # --------------------------------------------------------------------- eval
 
 def iou_ref(a, b):

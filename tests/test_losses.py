@@ -10,7 +10,7 @@ from voxlabel.losses import (LossValue, TrainConfig, detection_loss,
 from voxlabel.reproject import PseudoDataset, PseudoLabel
 from voxlabel.scene import CameraIntrinsics
 
-from oracles import finite_difference_grad, relative_error
+from oracles import batch_all_triplet, finite_difference_grad, relative_error
 
 
 class TestTripletLoss:
@@ -59,6 +59,21 @@ class TestTripletLoss:
         a = triplet_loss(f, uids).value
         b = triplet_loss(f @ q, uids).value
         assert abs(a - b) < 1e-10
+
+    def test_matches_batch_all_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        for trial in range(2100):
+            k = int(rng.integers(0, 20))
+            f = rng.normal(0, 1.0, (k, int(rng.integers(1, 6))))
+            if k > 1:   # duplicated rows give zero distances
+                f[rng.integers(0, k, k // 3)] = f[int(rng.integers(0, k))]
+            uids = rng.integers(0, int(rng.integers(1, 6)), k)
+            margin = (0.0, 0.3, 2.0)[trial % 3]
+            out = triplet_loss(f, uids, margin=margin)
+            value, grad = batch_all_triplet(f, uids, margin=margin)
+            assert out.value == value, f"trial {trial}"
+            assert out.grads["features"].tobytes() == grad.tobytes(), \
+                f"trial {trial}"
 
 
 class TestDistillLoss:
@@ -123,16 +138,36 @@ class TestHeadLoss:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(13)
-        logits = rng.normal(0, 1, 6)
-        pbox = np.array([0.1, 0.1, 0.62, 0.58])
-        tbox = np.array([0.2, 0.05, 0.5, 0.7])
-        out = head_loss(logits, pbox, 2, tbox)
-        ref_l = finite_difference_grad(
-            lambda x: head_loss(x, pbox, 2, tbox).value, logits)
-        assert relative_error(out.grads["logits"], ref_l) < 1e-5
-        ref_b = finite_difference_grad(
-            lambda x: head_loss(logits, x, 2, tbox).value, pbox)
-        assert relative_error(out.grads["box"], ref_b) < 1e-5
+        single = (rng.normal(0, 1, 6), np.array([0.1, 0.1, 0.62, 0.58]), 2,
+                  np.array([0.2, 0.05, 0.5, 0.7]))
+        # a batch, with one predicted box out of order as a regressor emits
+        pbox = rng.uniform(0, 1, (5, 4))
+        pbox[0] = [0.6, 0.5, 0.2, 0.1]
+        tbox = np.sort(rng.uniform(0, 1, (5, 2, 2)), axis=1).reshape(5, 4)
+        batch = (rng.normal(0, 1, (5, 6)), pbox, rng.integers(0, 6, 5), tbox)
+        for logits, pbox, tc, tbox in (single, batch):
+            out = head_loss(logits, pbox, tc, tbox)
+            ref_l = finite_difference_grad(
+                lambda x: head_loss(x, pbox, tc, tbox).value, logits)
+            assert relative_error(out.grads["logits"], ref_l) < 1e-5
+            ref_b = finite_difference_grad(
+                lambda x: head_loss(logits, x, tc, tbox).value, pbox)
+            assert relative_error(out.grads["box"], ref_b) < 1e-5
+
+    def test_batch_is_mean_of_examples(self):
+        rng = np.random.default_rng(19)
+        logits = rng.normal(0, 2, (7, 6))
+        pbox = rng.uniform(0, 1, (7, 4))
+        tbox = np.sort(rng.uniform(0, 1, (7, 2, 2)), axis=1).reshape(7, 4)
+        tc = rng.integers(0, 6, 7)
+        out = head_loss(logits, pbox, tc, tbox)
+        singles = [head_loss(logits[i], pbox[i], int(tc[i]), tbox[i])
+                   for i in range(7)]
+        assert out.value == pytest.approx(np.mean([s.value for s in singles]),
+                                          abs=1e-12)
+        for key in ("logits", "box"):
+            assert np.allclose(out.grads[key] * 7,
+                               [s.grads[key] for s in singles], atol=1e-12)
 
     def test_mask_term_gradient(self):
         rng = np.random.default_rng(17)
@@ -148,8 +183,11 @@ class TestHeadLoss:
 
     def test_invalid_inputs(self):
         box = np.array([0.1, 0.1, 0.5, 0.5])
+        inverted = np.array([0.5, 0.1, 0.1, 0.5])
         with pytest.raises(ValueError, match="invalid box"):
-            head_loss(np.zeros(6), np.array([0.5, 0.1, 0.1, 0.5]), 0, box)
+            head_loss(np.zeros(6), box, 0, inverted)
+        # a predicted box is regressor output and is not validated
+        assert head_loss(np.zeros(6), inverted, 0, box).value > 0
         with pytest.raises(ValueError, match="invalid target class"):
             head_loss(np.zeros(6), box, 6, box)
 

@@ -117,6 +117,20 @@ class TestRunPipeline:
         assert result["status"] == "ok" and result["accuracy"] is None
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(EXPECTED_FILES)
 
+    def test_interrupted_train_rerun_leaves_no_train_report(self, tmp_path,
+                                                             monkeypatch):
+        run_pipeline(small_config(steps=5, train=True), tmp_path)
+
+        def interrupt(trajectory, config):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "build_labels", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                run_pipeline(small_config(steps=5, seed=1, train=True), tmp_path)
+        run_pipeline(small_config(steps=5, seed=2), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(EXPECTED_FILES)
+
     def test_stale_removal_stays_inside_the_run_directory(self, tmp_path):
         run = tmp_path / "run"
         (run / "sub").mkdir(parents=True)
@@ -244,7 +258,8 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("name, value", [
         ("batch_size", 0), ("epochs", -1), ("holdout_fraction", -0.1),
-        ("holdout_fraction", 1.5)])
+        ("holdout_fraction", 1.5), ("feature_dim", 0), ("embed_dim", 0),
+        ("label_flip_prob", 2.0), ("lr", -1), ("alpha", -1)])
     def test_rejects_out_of_range_train_settings(self, name, value):
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})
