@@ -51,10 +51,7 @@ def _add_common(p):
     p.add_argument("--config", help="RunConfig JSON file")
     p.add_argument("--scene", dest="scene_file", help="scene JSON to load")
     p.add_argument("--scene-seed", type=int, dest="scene_seed")
-    p.add_argument("--policy", choices=["random", "frontier"])
     p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--alpha", type=float)
     p.add_argument("--voxel-size", type=float, dest="voxel_size")
     p.add_argument("--min-instance-voxels", type=int, dest="min_instance_voxels")
     p.add_argument("--margin", type=float)
@@ -76,10 +73,16 @@ def build_parser() -> argparse.ArgumentParser:
     pipe = top.add_parser("pipeline").add_subparsers(dest="cmd", required=True)
     run = pipe.add_parser("run", help="full pipeline")
     _add_common(run)
+    # a grid takes these from --policies, --alphas and --seeds
+    run.add_argument("--policy", choices=["random", "frontier"])
+    run.add_argument("--seed", type=int)
+    run.add_argument("--alpha", type=float)
     run.add_argument("--train", action="store_true")
 
     grid = top.add_parser("grid").add_subparsers(dest="cmd", required=True)
-    grun = grid.add_parser("run", help="policy x alpha x seed ablation grid")
+    # no abbreviations: --seed and --alpha would silently mean --seeds, --alphas
+    grun = grid.add_parser("run", help="policy x alpha x seed ablation grid",
+                           allow_abbrev=False)
     _add_common(grun)
     grun.add_argument("--policies", default="random,frontier")
     grun.add_argument("--alphas", default="0,0.1,0.7,1.0")

@@ -186,12 +186,24 @@ def build_labels(trajectory: Trajectory, config: RunConfig) -> SemanticVoxelMap:
     return vmap
 
 
-def run_pipeline(config: RunConfig, out_dir) -> dict:
+def run_pipeline(config: RunConfig, out_dir, shared: dict | None = None) -> dict:
     """Execute every stage, write artifacts to out_dir, return the manifest.
 
     Files that the MANIFEST of an earlier run in out_dir lists and this run
     will not write are deleted first.
+
+    shared carries the stages before train (scene, explore, labels, eval),
+    which read neither alpha nor the train settings, between runs whose
+    configs differ only in those: pass each run the same dict. Each stage
+    runs once per dict; a later run writes the text it produced and reuses
+    its result, or re-raises its exception, so every run writes what it
+    would write alone.
     """
+    shared = {} if shared is None else shared
+    key = _upstream_key(config)
+    if shared.setdefault("config", key) != key:
+        raise ValueError("shared holds the stages of a config that differs "
+                         "in more than alpha and the train settings")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _remove_stale(out, _ARTIFACTS + (("train_report.json",) if config.train
@@ -206,46 +218,44 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
         _write_atomic(out / name, text)
         manifest["files"][name] = sha256_file(out / name)
 
+    def once(compute):
+        # (value, text) of the current stage, computed once per shared dict
+        if stage not in shared:
+            try:
+                shared[stage] = (*compute(), None)
+            except Exception as exc:
+                shared[stage] = (None, None, exc)
+        value, text, exc = shared[stage]
+        if exc is not None:
+            raise exc
+        return value, text
+
     write_manifest()
     write("config.json", canonical_dumps(config.to_json()) + "\n")
     stage = "scene"
     try:
-        scene = build_scene(config)
-        write("scene.json", canonical_dumps(scene.to_json()) + "\n")
+        scene, text = once(lambda: _scene_stage(config))
+        write("scene.json", text)
 
         stage = "explore"
-        trajectory, _grid = run_episode(
-            scene, config.policy, config.noise, config.steps, config.camera,
-            seed=derive_seed(config.seed, "episode"),
-            cell_size=config.cell_size, camera_height=config.camera_height,
-            max_range=config.max_range)
-        write("trajectory.jsonl", trajectory_to_jsonl(trajectory))
+        trajectory, text = once(lambda: _explore_stage(config, scene))
+        write("trajectory.jsonl", text)
 
         stage = "labels"
-        vmap = build_labels(trajectory, config)
-        dataset = build_pseudo_dataset(
-            trajectory, vmap, config.camera,
-            occlusion_tolerance=config.occlusion_tolerance)
-        write("pseudo_dataset.json",
-              canonical_dumps(_round_floats(dataset_to_coco(dataset, config.camera)))
-              + "\n")
+        dataset, text = once(lambda: _labels_stage(config, trajectory))
+        write("pseudo_dataset.json", text)
 
         stage = "eval"
-        pseudo_report = evaluate_pseudo_labels(
-            dataset, trajectory, scene, config.camera,
-            min_pixels=config.noise.min_pixels)
-        raw_report = evaluate_pseudo_labels(
-            trajectory.detections, trajectory, scene, config.camera,
-            min_pixels=config.noise.min_pixels)
-        eval_blob = {
-            "pseudo": pseudo_report.to_json(),
-            "raw": raw_report.to_json(),
-            "improvement": pseudo_report.map50 - raw_report.map50,
-        }
-        write("eval.json", canonical_dumps(_round_floats(eval_blob, 9)) + "\n")
+        (pseudo_report, raw_report), text = once(
+            lambda: _eval_stage(config, scene, trajectory, dataset))
+        write("eval.json", text)
         write("eval.csv", eval_csv_text(config, pseudo_report, raw_report))
+        # No later stage reads the scene or the frames: free them before
+        # training, keeping only their texts for the runs that share them.
+        del scene, trajectory
+        for done in ("scene", "explore"):
+            shared[done] = (None, shared[done][1], None)
 
-        train_report = None
         if config.train:
             stage = "train"
             tc = replace(config.train_config, alpha=config.alpha,
@@ -261,6 +271,53 @@ def run_pipeline(config: RunConfig, out_dir) -> dict:
     manifest["status"] = "ok"
     write_manifest()
     return manifest
+
+
+def _upstream_key(config: RunConfig) -> str:
+    """The config as the stages before train read it."""
+    d = config.to_json()
+    for name in ("alpha", "train", "train_config"):
+        del d[name]
+    return canonical_dumps(d)
+
+
+def _scene_stage(config: RunConfig):
+    scene = build_scene(config)
+    return scene, canonical_dumps(scene.to_json()) + "\n"
+
+
+def _explore_stage(config: RunConfig, scene: SceneSpec):
+    trajectory, _grid = run_episode(
+        scene, config.policy, config.noise, config.steps, config.camera,
+        seed=derive_seed(config.seed, "episode"),
+        cell_size=config.cell_size, camera_height=config.camera_height,
+        max_range=config.max_range)
+    return trajectory, trajectory_to_jsonl(trajectory)
+
+
+def _labels_stage(config: RunConfig, trajectory: Trajectory):
+    vmap = build_labels(trajectory, config)
+    dataset = build_pseudo_dataset(
+        trajectory, vmap, config.camera,
+        occlusion_tolerance=config.occlusion_tolerance)
+    coco = _round_floats(dataset_to_coco(dataset, config.camera))
+    return dataset, canonical_dumps(coco) + "\n"
+
+
+def _eval_stage(config: RunConfig, scene, trajectory, dataset):
+    pseudo_report = evaluate_pseudo_labels(
+        dataset, trajectory, scene, config.camera,
+        min_pixels=config.noise.min_pixels)
+    raw_report = evaluate_pseudo_labels(
+        trajectory.detections, trajectory, scene, config.camera,
+        min_pixels=config.noise.min_pixels)
+    eval_blob = {
+        "pseudo": pseudo_report.to_json(),
+        "raw": raw_report.to_json(),
+        "improvement": pseudo_report.map50 - raw_report.map50,
+    }
+    return ((pseudo_report, raw_report),
+            canonical_dumps(_round_floats(eval_blob, 9)) + "\n")
 
 
 _ARTIFACTS = ("config.json", "scene.json", "trajectory.jsonl",
@@ -316,30 +373,52 @@ def run_grid(base: RunConfig, policies, alphas, seeds, out_root,
              max_workers: int = 1) -> str:
     """One pipeline run per (policy, alpha, seed); aggregate CSV per cell.
 
-    Failures are recorded per cell and the grid continues, whatever the
-    exception, including a broken worker pool. Returns the path of the
-    aggregate CSV.
+    Only the train stage reads alpha, so the cells of one (policy, seed)
+    share every stage up to eval: the first cell runs them and the others
+    reuse the results, each cell still writing exactly what a standalone
+    run_pipeline of its config writes. With max_workers > 1 each (policy,
+    seed) group is one job in a process pool. Failures are recorded per
+    cell and the grid continues, whatever the exception, including a broken
+    worker pool. Returns the path of the aggregate CSV.
     """
     from concurrent.futures import ProcessPoolExecutor
 
+    for axis, values in (("policies", policies), ("alphas", alphas),
+                         ("seeds", seeds)):
+        if not values or len(set(values)) != len(values):
+            raise ValueError(f"{axis} must be non-empty and without "
+                             f"duplicates, got {list(values)}")
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
-    jobs = [(replace(base, policy=p, alpha=a, seed=s),
-             out_root / f"{p}_alpha{a}_seed{s}")
-            for p in policies for a in alphas for s in seeds]
+    groups = [[(replace(base, policy=p, alpha=a, seed=s),
+                out_root / f"{p}_alpha{a}_seed{s}") for a in alphas]
+              for p in policies for s in seeds]
+    n_cells = len(policies) * len(alphas) * len(seeds)
     results = {}
+
+    def record(group, group_results):
+        for (cfg, _), result in zip(group, group_results):
+            results[(cfg.policy, cfg.alpha, cfg.seed)] = result
+            logger.info("grid cell %d/%d policy=%s alpha=%s seed=%s "
+                        "config=%s status=%s", len(results), n_cells,
+                        cfg.policy, cfg.alpha, cfg.seed, config_hash(cfg),
+                        result["status"])
+
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = {pool.submit(_run_cell, cfg, d): (cfg.policy, cfg.alpha, cfg.seed)
-                       for cfg, d in jobs}
-            for fut, key in futures.items():
+            futures = [(pool.submit(_run_group, group), group)
+                       for group in groups]
+            for fut, group in futures:
                 try:
-                    results[key] = fut.result()
+                    group_results = fut.result()
                 except Exception as exc:
-                    results[key] = _cell_failure(key, exc)
+                    group_results = [
+                        _cell_failure((cfg.policy, cfg.alpha, cfg.seed), exc)
+                        for cfg, _ in group]
+                record(group, group_results)
     else:
-        for cfg, d in jobs:
-            results[(cfg.policy, cfg.alpha, cfg.seed)] = _run_cell(cfg, d)
+        for group in groups:
+            record(group, _run_group(group))
 
     rows = [["policy", "alpha", "n_ok", "n_failed", "map50_mean", "map50_std",
              "improvement_mean", "improvement_std", "accuracy_mean",
@@ -372,9 +451,15 @@ def _cell_failure(cell, exc: Exception) -> dict:
     return {"status": f"failed: {type(exc).__name__}"}
 
 
-def _run_cell(config: RunConfig, out_dir) -> dict:
+def _run_group(jobs) -> list:
+    """Run the cells of one (policy, seed), which share the stages before train."""
+    shared = {}
+    return [_run_cell(config, out_dir, shared) for config, out_dir in jobs]
+
+
+def _run_cell(config: RunConfig, out_dir, shared: dict | None = None) -> dict:
     try:
-        manifest = run_pipeline(config, out_dir)
+        manifest = run_pipeline(config, out_dir, shared=shared)
         with open(Path(out_dir) / "eval.json") as f:
             ev = json.load(f)
         result = {"status": "ok", "map50": ev["pseudo"]["map50"],

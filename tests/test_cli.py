@@ -24,6 +24,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
+    @pytest.mark.parametrize("flag, value", [("--policy", "random"),
+                                             ("--seed", "9"),
+                                             ("--alpha", "0.3")])
+    def test_single_run_flags_only_on_pipeline_run(self, flag, value):
+        args = build_parser().parse_args(["pipeline", "run", flag, value])
+        assert getattr(args, flag[2:]) is not None
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["grid", "run", "--alphas", "0.7",
+                                       "--seeds", "0", flag, value])
+
     def test_bad_policy_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["pipeline", "run", "--policy", "greedy"])

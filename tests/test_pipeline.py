@@ -309,10 +309,10 @@ class TestRunGrid:
         from voxlabel import pipeline
         real_run = pipeline.run_pipeline
 
-        def run_or_crash(config, out_dir):
+        def run_or_crash(config, out_dir, shared=None):
             if config.alpha == 0.7:
                 raise RuntimeError("crash outside any stage")
-            return real_run(config, out_dir)
+            return real_run(config, out_dir, shared=shared)
 
         base = small_config(steps=5)
         monkeypatch.setattr(pipeline, "run_pipeline", run_or_crash)
@@ -335,7 +335,7 @@ class TestRunGrid:
     def test_broken_worker_pool_is_recorded(self, tmp_path, monkeypatch):
         from voxlabel import pipeline
 
-        def die(config, out_dir):
+        def die(config, out_dir, shared=None):
             os._exit(1)
 
         monkeypatch.setattr(pipeline, "run_pipeline", die)
@@ -353,3 +353,92 @@ class TestRunGrid:
                  max_workers=2)
         assert (tmp_path / "serial" / "aggregate.csv").read_text() \
             == (tmp_path / "par" / "aggregate.csv").read_text()
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_trained_cells_equal_standalone_runs(self, tmp_path, max_workers):
+        base = small_config(steps=30, train=True, min_instance_voxels=10)
+        run_grid(base, ["frontier"], [0.0, 0.7], [0, 1], tmp_path / "grid",
+                 max_workers=max_workers)
+        for alpha in (0.0, 0.7):
+            for seed in (0, 1):
+                ref = tmp_path / f"ref_{alpha}_{seed}"
+                manifest = run_pipeline(replace(base, alpha=alpha, seed=seed), ref)
+                assert manifest["status"] == "ok"
+                assert "train_report.json" in manifest["files"]
+                cell = tmp_path / "grid" / f"frontier_alpha{alpha}_seed{seed}"
+                assert sorted(p.name for p in cell.iterdir()) \
+                    == sorted(p.name for p in ref.iterdir())
+                for name in list(manifest["files"]) + ["MANIFEST.json"]:
+                    assert (cell / name).read_bytes() == (ref / name).read_bytes()
+
+    def test_one_episode_per_policy_and_seed(self, tmp_path, monkeypatch,
+                                              caplog):
+        calls = []
+        real_episode = pipeline.run_episode
+
+        def counting_episode(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return real_episode(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_episode", counting_episode)
+        with caplog.at_level("INFO", logger="voxlabel.pipeline"):
+            agg = run_grid(small_config(steps=10), ["frontier"],
+                           [0.0, 0.7, 1.0], [0, 1], tmp_path, max_workers=1)
+        assert len(calls) == 2
+        with open(agg) as f:
+            assert all(row["n_ok"] == "2" for row in csv.DictReader(f))
+        progress = [r.getMessage() for r in caplog.records
+                    if r.getMessage().startswith("grid cell ")]
+        assert [m.split()[2] for m in progress] \
+            == [f"{i}/6" for i in range(1, 7)]
+        assert all(m.endswith("status=ok") for m in progress)
+
+    def test_shared_stage_failure_fails_every_cell(self, tmp_path):
+        base = small_config(steps=5, scene_file=str(tmp_path / "missing.json"))
+        agg = run_grid(base, ["frontier"], [0.0, 0.7], [0], tmp_path / "grid")
+        with open(agg) as f:
+            assert [row["n_failed"] for row in csv.DictReader(f)] == ["1", "1"]
+        for alpha in (0.0, 0.7):
+            ref = tmp_path / f"ref{alpha}"
+            with pytest.raises(StageError) as err:
+                run_pipeline(replace(base, alpha=alpha), ref)
+            assert err.value.stage == "scene"
+            cell = tmp_path / "grid" / f"frontier_alpha{alpha}_seed0"
+            manifest = json.loads((cell / "MANIFEST.json").read_text())
+            assert manifest["status"] == "failed at scene"
+            assert sorted(p.name for p in cell.iterdir()) \
+                == ["MANIFEST.json", "config.json"]
+            for name in ("config.json", "MANIFEST.json"):
+                assert (cell / name).read_bytes() == (ref / name).read_bytes()
+
+    def test_replayed_failure_names_each_cells_config(self, tmp_path):
+        base = small_config(steps=5, scene_file=str(tmp_path / "missing.json"))
+        shared = {}
+        hashes = []
+        for alpha in (0.0, 0.7):
+            config = replace(base, alpha=alpha)
+            with pytest.raises(StageError, match=config_hash(config)):
+                run_pipeline(config, tmp_path / str(alpha), shared=shared)
+            hashes.append(config_hash(config))
+        assert hashes[0] != hashes[1]
+
+    def test_shared_results_rejected_for_another_seed(self, tmp_path):
+        shared = {}
+        run_pipeline(small_config(steps=3), tmp_path / "a", shared=shared)
+        with pytest.raises(ValueError, match="differs"):
+            run_pipeline(small_config(steps=3, seed=1), tmp_path / "b",
+                         shared=shared)
+
+    @pytest.mark.parametrize("axis, values", [
+        ("policies", dict(policies=[])),
+        ("policies", dict(policies=["frontier", "frontier"])),
+        ("alphas", dict(alphas=[])),
+        ("alphas", dict(alphas=[0, 0.0])),
+        ("seeds", dict(seeds=[])),
+        ("seeds", dict(seeds=[1, 1])),
+    ])
+    def test_rejects_empty_or_duplicated_axis(self, tmp_path, axis, values):
+        axes = {**dict(policies=["frontier"], alphas=[0.7], seeds=[0]), **values}
+        with pytest.raises(ValueError, match=axis):
+            run_grid(small_config(steps=1), out_root=tmp_path, **axes)
+        assert not list(tmp_path.iterdir())
