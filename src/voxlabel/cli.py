@@ -25,26 +25,32 @@ def _default_out() -> str:
 
 
 def _load_config(args) -> RunConfig:
+    """--config, or the defaults, with the flags given applied over it."""
+    config = RunConfig()
     if getattr(args, "config", None):
-        config = RunConfig.load(args.config)
-    else:
-        config = RunConfig()
-    overrides = {}
-    for attr in ("policy", "steps", "seed", "alpha", "voxel_size",
-                 "min_instance_voxels", "scene_file", "scene_seed"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[attr] = value
-    if overrides:
-        config = replace(config, **overrides)
-    tc_over = {}
-    for attr in ("margin", "epochs", "lr", "batch_size"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            tc_over[attr] = value
-    if tc_over:
-        config = replace(config, train_config=replace(config.train_config, **tc_over))
-    return config
+        try:
+            config = RunConfig.load(args.config)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"--config {args.config}: {exc}") from None
+    run = {attr: getattr(args, attr) for attr in (
+        "policy", "steps", "seed", "alpha", "voxel_size", "min_instance_voxels",
+        "scene_file", "scene_seed") if getattr(args, attr, None) is not None}
+    if args.group == "grid" or args.train:
+        run["train"] = True
+    train = {attr: getattr(args, attr) for attr in (
+        "margin", "epochs", "lr", "batch_size") if getattr(args, attr, None) is not None}
+    return replace(config, **run,
+                   train_config=replace(config.train_config, **train))
+
+
+def _grid_axes(args) -> dict:
+    axes = {}
+    for flag, kind in (("policies", str), ("alphas", float), ("seeds", int)):
+        try:
+            axes[flag] = [kind(v) for v in getattr(args, flag).split(",")]
+        except ValueError as exc:
+            raise ValueError(f"--{flag}: {exc}") from None
+    return axes
 
 
 def _add_common(p):
@@ -92,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     out = getattr(args, "out", None) or _default_out()
 
     if args.group == "scene":
@@ -101,19 +108,16 @@ def main(argv=None) -> int:
         print(f"wrote {args.out}: {len(scene.objects)} objects")
         return 0
 
-    config = _load_config(args)
-    if args.group == "grid":
-        config = replace(config, train=True)
-        policies = args.policies.split(",")
-        alphas = [float(a) for a in args.alphas.split(",")]
-        seeds = [int(s) for s in args.seeds.split(",")]
-        path = run_grid(config, policies, alphas, seeds, out,
-                        max_workers=args.workers)
-        print(f"aggregate CSV: {path}")
-        return 0
-
-    if args.train:
-        config = replace(config, train=True)
+    try:
+        # bad values, the grid's axes included, are usage errors
+        config = _load_config(args)
+        if args.group == "grid":
+            path = run_grid(config, **_grid_axes(args), out_root=out,
+                            max_workers=args.workers)
+            print(f"aggregate CSV: {path}")
+            return 0
+    except ValueError as exc:
+        parser.error(str(exc))
     manifest = run_pipeline(config, out)
     print(json.dumps(manifest, indent=2))
     return 0

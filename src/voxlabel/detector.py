@@ -13,6 +13,7 @@ import numpy as np
 from scipy import ndimage
 
 from .scene import NUM_CLASSES, FrameObservation, SceneSpec
+from .serialize import JsonDataclass
 
 
 def softmax(logits) -> np.ndarray:
@@ -26,15 +27,16 @@ def softmax(logits) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NoiseModel:
-    """Detector error model.
+class NoiseModel(JsonDataclass):
+    """Detector error model; a JsonDataclass.
 
-    confusion[i][j] is the probability the true class i is reported as j.
+    confusion[i][j] is the probability the true class i is reported as j,
+    stored as a tuple of float tuples (hashable) whatever it is given as.
     Dropout probability grows linearly with distance to the instance.
     Default values are illustrative, not calibrated against any real detector.
     """
 
-    confusion: tuple = field(default_factory=lambda: tuple(
+    confusion: tuple[tuple[float, ...], ...] = field(default_factory=lambda: tuple(
         tuple(1.0 if i == j else 0.0 for j in range(NUM_CLASSES))
         for i in range(NUM_CLASSES)))
     dropout_base: float = 0.0
@@ -46,21 +48,16 @@ class NoiseModel:
     min_pixels: int = 50
 
     def __post_init__(self):
-        m = np.asarray(self.confusion, dtype=float)
-        if m.shape != (NUM_CLASSES, NUM_CLASSES):
+        object.__setattr__(self, "confusion", tuple(
+            tuple(float(v) for v in row) for row in self.confusion))
+        if [len(row) for row in self.confusion] != [NUM_CLASSES] * NUM_CLASSES:
             raise ValueError("confusion must be 6x6")
+        m = np.asarray(self.confusion)
         if np.any(m < 0) or np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-9):
             raise ValueError("confusion rows must be stochastic")
-        if not (0.0 <= self.dropout_base <= 1.0 and self.dropout_per_meter >= 0.0):
-            raise ValueError("dropout probabilities out of range")
-        if self.mask_jitter_px < 0:
-            raise ValueError(
-                f"mask_jitter_px must be non-negative, got {self.mask_jitter_px}")
-        if not 0.0 <= self.score_threshold <= 1.0:
-            raise ValueError(
-                f"score_threshold must lie in [0, 1], got {self.score_threshold}")
-        if self.min_pixels < 1:
-            raise ValueError(f"min_pixels must be >= 1, got {self.min_pixels}")
+        self._require("in [0, 1]", "dropout_base", "score_threshold")
+        self._require("non-negative", "dropout_per_meter", "mask_jitter_px")
+        self._require("at least 1", "min_pixels")
 
     @classmethod
     def noiseless(cls, min_pixels: int = 50) -> "NoiseModel":
@@ -73,25 +70,6 @@ class NoiseModel:
         conf = tuple(tuple(diagonal if i == j else off for j in range(NUM_CLASSES))
                      for i in range(NUM_CLASSES))
         return cls(confusion=conf, **kwargs)
-
-    def to_json(self) -> dict:
-        return {
-            "confusion": [list(r) for r in self.confusion],
-            "dropout_base": self.dropout_base,
-            "dropout_per_meter": self.dropout_per_meter,
-            "logit_sharpness": self.logit_sharpness,
-            "logit_noise_sigma": self.logit_noise_sigma,
-            "mask_jitter_px": self.mask_jitter_px,
-            "score_threshold": self.score_threshold,
-            "min_pixels": self.min_pixels,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "NoiseModel":
-        d = dict(d)
-        if "confusion" in d:
-            d["confusion"] = tuple(tuple(float(v) for v in row) for row in d["confusion"])
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
 
 
 @dataclass

@@ -16,6 +16,7 @@ import numpy as np
 
 from .detector import softmax
 from .scene import NUM_CLASSES
+from .serialize import JsonDataclass
 
 
 @dataclass
@@ -177,8 +178,8 @@ def detection_loss(im: LossValue, distill: LossValue, head: LossValue,
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Toy-head training settings; defaults follow the reference recipe."""
+class TrainConfig(JsonDataclass):
+    """Toy-head training settings, defaults the reference recipe; a JsonDataclass."""
 
     lr: float = 1e-4
     epochs: int = 10
@@ -197,25 +198,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "feature_dim", "embed_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, "
-                                 f"got {getattr(self, name)}")
-        for name in ("epochs", "lr", "alpha"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, "
-                                 f"got {getattr(self, name)}")
-        for name in ("holdout_fraction", "label_flip_prob"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ValueError(f"{name} must lie in [0, 1], "
-                                 f"got {getattr(self, name)}")
-
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "TrainConfig":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
+        self._require("at least 1", "batch_size", "feature_dim", "embed_dim")
+        self._require("non-negative", "epochs", "lr", "alpha")
+        self._require("in [0, 1]", "holdout_fraction", "label_flip_prob")
 
 
 def _make_examples(dataset, K, config: TrainConfig, rng: np.random.Generator):

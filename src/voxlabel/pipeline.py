@@ -30,13 +30,16 @@ from .losses import TrainConfig, toy_finetune
 from .reproject import build_pseudo_dataset, dataset_to_coco
 from .scene import (CameraIntrinsics, Pose, SceneParams, SceneSpec,
                     generate_scene, render_frame)
-from .serialize import canonical_dumps, derive_seed, sha256_file
+from .serialize import JsonDataclass, canonical_dumps, derive_seed, sha256_file
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(JsonDataclass):
+    """Everything a run reads. config.json is its JsonDataclass to_json, and
+    config_hash hashes that file's canonical text."""
+
     scene_file: str | None = None
     scene_params: SceneParams = field(default_factory=SceneParams)
     scene_seed: int | None = None       # defaults to derive_seed(seed, "scene")
@@ -56,61 +59,15 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_range", "cell_size", "voxel_size", "camera_height"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("steps", "min_instance_voxels"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, "
-                                 f"got {getattr(self, name)}")
+        self._require("positive", "max_range", "cell_size", "voxel_size",
+                      "camera_height")
+        self._require("at least 1", "steps", "min_instance_voxels")
+        self._require("non-negative", "alpha")
+        if self.occlusion_tolerance is not None:
+            self._require("non-negative", "occlusion_tolerance")
         if self.policy not in ("frontier", "random"):
             raise ValueError("policy must be 'frontier' or 'random', "
                              f"got {self.policy!r}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if self.occlusion_tolerance is not None and self.occlusion_tolerance < 0:
-            raise ValueError("occlusion_tolerance must be non-negative, "
-                             f"got {self.occlusion_tolerance}")
-
-    def to_json(self) -> dict:
-        return {
-            "scene_file": self.scene_file,
-            "scene_params": self.scene_params.to_json(),
-            "scene_seed": self.scene_seed,
-            "policy": self.policy,
-            "steps": self.steps,
-            "noise": self.noise.to_json(),
-            "camera": self.camera.to_json(),
-            "camera_height": self.camera_height,
-            "max_range": self.max_range,
-            "cell_size": self.cell_size,
-            "voxel_size": self.voxel_size,
-            "min_instance_voxels": self.min_instance_voxels,
-            "occlusion_tolerance": self.occlusion_tolerance,
-            "alpha": self.alpha,
-            "train": self.train,
-            "train_config": self.train_config.to_json(),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "RunConfig":
-        kwargs = dict(d)
-        if "scene_params" in kwargs:
-            kwargs["scene_params"] = SceneParams.from_json(kwargs["scene_params"])
-        if "noise" in kwargs:
-            kwargs["noise"] = NoiseModel.from_json(kwargs["noise"])
-        if "camera" in kwargs:
-            kwargs["camera"] = CameraIntrinsics.from_json(kwargs["camera"])
-        if "train_config" in kwargs:
-            kwargs["train_config"] = TrainConfig.from_json(kwargs["train_config"])
-        return cls(**{k: v for k, v in kwargs.items()
-                      if k in cls.__dataclass_fields__})
-
-    @classmethod
-    def load(cls, path) -> "RunConfig":
-        with open(path) as f:
-            return cls.from_json(json.load(f))
 
 
 class StageError(RuntimeError):
@@ -389,10 +346,10 @@ def run_grid(base: RunConfig, policies, alphas, seeds, out_root,
             raise ValueError(f"{axis} must be non-empty and without "
                              f"duplicates, got {list(values)}")
     out_root = Path(out_root)
-    out_root.mkdir(parents=True, exist_ok=True)
     groups = [[(replace(base, policy=p, alpha=a, seed=s),
                 out_root / f"{p}_alpha{a}_seed{s}") for a in alphas]
               for p in policies for s in seeds]
+    out_root.mkdir(parents=True, exist_ok=True)
     n_cells = len(policies) * len(alphas) * len(seeds)
     results = {}
 

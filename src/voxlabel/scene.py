@@ -8,11 +8,13 @@ down=(0, 0, -1), forward=(cos yaw, sin yaw, 0). Depth is planar z-depth
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 import json
 import math
 
 import numpy as np
+
+from .serialize import JsonDataclass
 
 CLASS_NAMES = ("toilet", "couch", "bed", "dining table", "potting plant", "tv")
 NUM_CLASSES = len(CLASS_NAMES)
@@ -139,7 +141,9 @@ class SceneSpec:
 
 
 @dataclass(frozen=True)
-class CameraIntrinsics:
+class CameraIntrinsics(JsonDataclass):
+    """Pinhole intrinsics in pixels; a JsonDataclass with every field required."""
+
     fx: float
     fy: float
     cx: float
@@ -148,10 +152,10 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        self._require("positive", "fx", "fy")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
-            raise ValueError("principal point outside image")
+            raise ValueError(f"cx, cy must lie inside the {self.width}x{self.height} "
+                             f"image, got {self.cx}, {self.cy}")
 
     @classmethod
     def default(cls, width: int = 64, height: int = 48) -> "CameraIntrinsics":
@@ -161,15 +165,6 @@ class CameraIntrinsics:
         f = float(width)
         return cls(fx=f, fy=f, cx=width / 2.0, cy=height / 2.0, width=width, height=height)
 
-    def to_json(self) -> dict:
-        return {"fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy,
-                "width": self.width, "height": self.height}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "CameraIntrinsics":
-        return cls(float(d["fx"]), float(d["fy"]), float(d["cx"]), float(d["cy"]),
-                   int(d["width"]), int(d["height"]))
-
 
 def normalize_angle(a: float) -> float:
     """Wrap to [-pi, pi)."""
@@ -177,7 +172,9 @@ def normalize_angle(a: float) -> float:
 
 
 @dataclass(frozen=True)
-class Pose:
+class Pose(JsonDataclass):
+    """Camera position (m) and yaw (rad, wrapped to [-pi, pi)); a JsonDataclass."""
+
     x: float
     y: float
     yaw: float
@@ -198,15 +195,6 @@ class Pose:
         forward = np.array([c, s, 0.0])
         return right, down, forward
 
-    def to_json(self) -> dict:
-        return {"x": self.x, "y": self.y, "yaw": self.yaw,
-                "camera_height": self.camera_height}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "Pose":
-        return cls(float(d["x"]), float(d["y"]), float(d["yaw"]),
-                   float(d.get("camera_height", 1.25)))
-
 
 NO_INSTANCE = -1
 
@@ -224,8 +212,8 @@ class FrameObservation:
 
 
 @dataclass(frozen=True)
-class SceneParams:
-    """Scene-generation knobs. Counts are per class, inclusive ranges."""
+class SceneParams(JsonDataclass):
+    """Scene-generation knobs, a JsonDataclass; counts are per-class inclusive ranges."""
 
     room_size_min: float = 10.0
     room_size_max: float = 12.0
@@ -238,12 +226,16 @@ class SceneParams:
     size_jitter: float = 0.1
     max_retries: int = 200
 
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "SceneParams":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
+    def __post_init__(self):
+        self._require("positive", "room_size_min", "wall_thickness", "wall_height")
+        self._require("non-negative", "objects_per_class_min", "n_partitions",
+                      "size_jitter", "min_separation")
+        self._require("at least 1", "max_retries")
+        for lo, hi in (("room_size_min", "room_size_max"),
+                       ("objects_per_class_min", "objects_per_class_max")):
+            if getattr(self, lo) > getattr(self, hi):
+                raise ValueError(f"{lo} must not exceed {hi}, got "
+                                 f"{getattr(self, lo)} > {getattr(self, hi)}")
 
 
 def generate_scene(params: SceneParams, seed: int) -> SceneSpec:

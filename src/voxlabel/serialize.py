@@ -1,11 +1,92 @@
-"""Serialization helpers: run-length encoding, canonical JSON, content hashes."""
+"""Serialization helpers: the JSON codec of the config dataclasses,
+run-length encoding, canonical JSON, content hashes."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
+import typing
 
 import numpy as np
+
+
+class JsonDataclass:
+    """Base of the frozen dataclasses kept as JSON objects: configs and Pose.
+
+    to_json emits every field, nested ones as objects and tuples as lists.
+    from_json raises ValueError naming the field, dotted when nested, for an
+    unknown key, a missing required field or a value of the wrong JSON type;
+    an int given for a float field becomes a float. Fields may be bool, int,
+    float, str, JsonDataclass, tuple[X, ...] or X | None. Range checks are
+    each class's __post_init__, mostly calls of _require.
+    """
+
+    def to_json(self) -> dict:
+        return {k: _encode(getattr(self, k)) for k in self.__dataclass_fields__}
+
+    @classmethod
+    def from_json(cls, data):
+        return _decode(cls, data, "")
+
+    @classmethod
+    def load(cls, path):
+        with open(path) as f:
+            return cls.from_json(json.load(f))
+
+    def _require(self, rule: str, *names):
+        """ValueError naming the first of the fields names that breaks rule."""
+        for name in names:
+            if not _RULES[rule](getattr(self, name)):
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
+
+
+_RULES = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0,
+          "at least 1": lambda v: v >= 1, "in [0, 1]": lambda v: 0 <= v <= 1}
+
+
+def _encode(value):
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value.to_json() if isinstance(value, JsonDataclass) else value
+
+
+@functools.cache
+def _fields(cls) -> dict:
+    """name -> (annotation, required) of a dataclass, resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is dataclasses.MISSING
+                     and f.default_factory is dataclasses.MISSING)
+            for f in dataclasses.fields(cls)}
+
+
+def _decode(tp, value, path: str):
+    """value, read from JSON, as the annotation tp of the field at path."""
+    if type(value) is tp:   # exact: true is no int, 1 no float
+        return value
+    if tp is float and type(value) is int:
+        return float(value)
+    args = typing.get_args(tp)
+    if type(None) in args:
+        if value is None:
+            return None
+        return _decode(next(a for a in args if a is not type(None)), value, path)
+    if isinstance(value, list) and typing.get_origin(tp) is tuple:
+        return tuple(_decode(args[0], v, f"{path}[{i}]")
+                     for i, v in enumerate(value))
+    if (isinstance(value, dict) and isinstance(tp, type)
+            and issubclass(tp, JsonDataclass)):
+        fields, prefix = _fields(tp), path + "." if path else ""
+        for name in sorted(value.keys() - fields.keys()):
+            raise ValueError(f"{prefix}{name}: not a field of {tp.__name__}")
+        for name, (_, required) in fields.items():
+            if required and name not in value:
+                raise ValueError(f"{prefix}{name}: missing required field")
+        return tp(**{k: _decode(fields[k][0], v, prefix + k)
+                     for k, v in value.items()})
+    raise ValueError(f"{path or tp.__name__}: expected {tp.__name__}, "
+                     f"got {value!r}")
 
 
 def rle_encode_bool(mask: np.ndarray) -> list:

@@ -72,6 +72,25 @@ class TestMain:
         assert saved["seed"] == 5
         assert saved["steps"] == 1
 
+    @pytest.mark.parametrize("argv, named", [
+        (["pipeline", "run", "--config", "{config}"], "stpes"),
+        (["pipeline", "run", "--steps", "0"], "steps"),
+        (["grid", "run", "--alphas", "0,x"], "--alphas"),
+        (["grid", "run", "--alphas", "0,0.0"], "alphas"),
+        (["grid", "run", "--policies", "frontier,greedy"], "policy"),
+    ])
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, argv, named):
+        config = tmp_path / "config.json"
+        config.write_text('{"stpes": 5}')
+        argv = [a.format(config=config) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert named in err.strip().splitlines()[-1]
+        assert not (tmp_path / "out").exists()
+
     def test_grid_run_smoke(self, tmp_path):
         rc = main(["grid", "run", "--steps", "10", "--policies", "frontier",
                    "--alphas", "0.7", "--seeds", "0",

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -55,6 +56,19 @@ class TestNoiseModel:
         nm = NoiseModel.uniform_confusion(0.8, dropout_base=0.1,
                                           mask_jitter_px=2)
         assert NoiseModel.from_json(nm.to_json()) == nm
+        for value in (nm, NoiseModel(), NoiseModel.noiseless(min_pixels=20)):
+            back = NoiseModel.from_json(json.loads(json.dumps(value.to_json())))
+            assert back == value
+            assert back.to_json() == value.to_json()
+
+    def test_confusion_from_lists_is_float_tuples(self):
+        ref = NoiseModel.uniform_confusion(0.5)
+        nm = NoiseModel(confusion=[list(row) for row in ref.confusion])
+        assert nm == ref and hash(nm) == hash(ref)
+        identity = NoiseModel(confusion=[[int(i == j) for j in range(6)]
+                                         for i in range(6)])
+        assert identity == NoiseModel()
+        assert all(type(v) is float for row in identity.confusion for v in row)
 
     def test_rejects_negative_mask_jitter(self):
         with pytest.raises(ValueError, match="mask_jitter_px"):

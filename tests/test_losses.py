@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -282,3 +283,7 @@ class TestToyFinetune:
     def test_config_round_trip(self):
         cfg = TrainConfig(lr=5e-4, alpha=0.3, label_flip_prob=0.25)
         assert TrainConfig.from_json(cfg.to_json()) == cfg
+        for value in (cfg, TrainConfig()):
+            back = TrainConfig.from_json(json.loads(json.dumps(value.to_json())))
+            assert back == value
+            assert back.to_json() == value.to_json()

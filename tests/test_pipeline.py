@@ -224,10 +224,52 @@ class TestDegenerateEpisodes:
         assert len({(f.pose.x, f.pose.y) for f in trajectory.frames}) == 1
 
 
+GRID_BASE = RunConfig(steps=150, noise=NoiseModel.uniform_confusion(
+    0.75, dropout_base=0.1, dropout_per_meter=0.05))
+
+
 class TestRunConfig:
     def test_json_round_trip(self):
         config = small_config(alpha=0.3, policy="random", train=True)
         assert RunConfig.from_json(config.to_json()) == config
+        for config in (config, RunConfig(), GRID_BASE,
+                       small_config(scene_file="s.json", scene_seed=4,
+                                    occlusion_tolerance=0.1)):
+            text = canonical_dumps(config.to_json())
+            back = RunConfig.from_json(json.loads(text))
+            assert back == config
+            assert canonical_dumps(back.to_json()) == text
+
+    def test_pinned_hashes(self):
+        # config.json text, and so every run directory's key, is unchanged
+        assert config_hash(RunConfig()) == "c9ebf98d45970e4b"
+        assert config_hash(GRID_BASE) == "ee3bdd2e3587734e"
+
+    def test_int_for_float_field_reads_as_float(self):
+        config = RunConfig.from_json({"alpha": 1})
+        assert type(config.alpha) is float
+        assert config_hash(config) == config_hash(RunConfig(alpha=1.0))
+
+    @pytest.mark.parametrize("data, field", [
+        ({"stpes": 50}, "stpes"),
+        ({"noise": {"dropout_bse": 0.3}}, "noise.dropout_bse"),
+        ({"train_config": {"epohcs": 1}}, "train_config.epohcs"),
+        ({"scene_params": {"room_sise": 8.0}}, "scene_params.room_sise"),
+        ({"camera": {**RunConfig().camera.to_json(), "fz": 64.0}}, "camera.fz"),
+        ({"camera": {"fx": 64.0, "fy": 64.0, "cx": 32.0, "cy": 24.0,
+                     "width": 64}}, "camera.height"),
+        ({"steps": 2.0}, "steps"),
+        ({"train": 1}, "train"),
+        ({"noise": {"min_pixels": "50"}}, "noise.min_pixels"),
+        ({"noise": {"confusion": [[1.0] * 6] * 5 + [[1.0] * 5 + ["0"]]}},
+         r"noise.confusion\[5\]\[5\]"),
+        ({"train_config": 1}, "train_config"),
+        ({"scene_file": 3}, "scene_file"),
+    ])
+    def test_from_json_rejects_bad_field(self, data, field):
+        # unknown keys at every level, a missing required field, wrong types
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            RunConfig.from_json(data)
 
     def test_load_from_file(self, tmp_path):
         from voxlabel.serialize import canonical_dumps

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -55,6 +56,12 @@ class TestGenerateScene:
         path = tmp_path / "scene.json"
         scene.save(path)
         assert SceneSpec.load(path).to_json() == scene.to_json()
+        for value in (SceneParams(), SceneParams(room_size_min=6.0, n_partitions=0),
+                      CameraIntrinsics.default(), CameraIntrinsics.default(16, 12),
+                      Pose(1.5, -2.0, 7.0), Pose(0.0, 0.25, -1.0, camera_height=0.8)):
+            back = type(value).from_json(json.loads(json.dumps(value.to_json())))
+            assert back == value
+            assert back.to_json() == value.to_json()
 
 
 class TestRenderFrame:
@@ -221,3 +228,23 @@ class TestTypes:
     def test_intrinsics_validation(self):
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=-1, fy=1, cx=1, cy=1, width=4, height=4)
+        with pytest.raises(ValueError, match="^fx: missing required field"):
+            CameraIntrinsics.from_json({"fy": 1.0, "cx": 1.0, "cy": 1.0,
+                                        "width": 4, "height": 4})
+
+    @pytest.mark.parametrize("kw, field", [
+        (dict(objects_per_class_min=2, objects_per_class_max=1),
+         "objects_per_class_min"),
+        (dict(room_size_min=12.0, room_size_max=10.0), "room_size_min"),
+        (dict(n_partitions=-2), "n_partitions"),
+        (dict(objects_per_class_min=-1), "objects_per_class_min"),
+        (dict(room_size_min=0.0), "room_size_min"),
+        (dict(wall_thickness=0.0), "wall_thickness"),
+        (dict(wall_height=-3.0), "wall_height"),
+        (dict(size_jitter=-0.1), "size_jitter"),
+        (dict(min_separation=-0.4), "min_separation"),
+        (dict(max_retries=0), "max_retries"),
+    ])
+    def test_scene_params_ranges(self, kw, field):
+        with pytest.raises(ValueError, match=field):
+            SceneParams(**kw)
