@@ -6,7 +6,6 @@ nearest-frontier exploration. Episodes are fully deterministic given a seed.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 import heapq
@@ -100,11 +99,13 @@ def update_occupancy(grid: OccupancyGrid, frame: FrameObservation,
     dy = forward[1] + us * right[1]
     col_depth = np.where(frame.depth > 0, frame.depth, np.inf).min(axis=0)
     hit = np.isfinite(col_depth)
-    depths = np.where(hit, col_depth, 0.0)
-    depths[~hit] = max_range
+    depths = np.where(hit, col_depth, max_range)
 
     step = grid.cell_size * 0.5
     ts = np.arange(step, max_range + step, step)            # (T,)
+    # no sample past the farthest return frees a cell; cutting in blocks of 40
+    # keeps the (T, W) temporaries to a few sizes, which the allocator reuses
+    ts = ts[:40 * math.ceil(np.searchsorted(ts, depths.max() - 1e-9) / 40)]
     px = pose.x + ts[:, None] * dx[None, :]                 # (T, W)
     py = pose.y + ts[:, None] * dy[None, :]
     before = ts[:, None] < (depths[None, :] - 1e-9)
@@ -143,63 +144,64 @@ def frontier_goals(grid: OccupancyGrid) -> list:
     frontier = free & adj_unknown
     if not frontier.any():
         return []
-    labels, n = ndimage.label(frontier, structure=np.ones((3, 3), dtype=int))
-    reps = []
-    for k in range(1, n + 1):
-        rows, cols = np.nonzero(labels == k)
-        cr, cc = rows.mean(), cols.mean()
-        d2 = (rows - cr) ** 2 + (cols - cc) ** 2
-        # nearest member to centroid; ties by lowest (row, col)
-        order = np.lexsort((cols, rows, d2))
-        reps.append((int(rows[order[0]]), int(cols[order[0]])))
-    reps.sort()
-    return reps
-
-
-def _bfs_distances(grid: OccupancyGrid, start: tuple,
-                   extra_blocked=frozenset()) -> dict:
-    """Shortest 4-connected path length over free cells from start."""
-    if grid.cells[start] != FREE or start in extra_blocked:
-        return {}
-    dist = {start: 0}
-    q = deque([start])
-    rows, cols = grid.cells.shape
-    while q:
-        r, c = q.popleft()
-        d = dist[(r, c)]
-        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if (0 <= nr < rows and 0 <= nc < cols
-                    and grid.cells[nr, nc] == FREE
-                    and (nr, nc) not in dist
-                    and (nr, nc) not in extra_blocked):
-                dist[(nr, nc)] = d + 1
-                q.append((nr, nc))
-    return dist
+    labels, _ = ndimage.label(frontier, structure=np.ones((3, 3), dtype=int))
+    rows, cols = np.nonzero(labels)
+    k = labels[rows, cols] - 1
+    # integer sums are exact in float64, so these are the members' means
+    n = np.bincount(k)
+    cr = np.bincount(k, weights=rows) / n
+    cc = np.bincount(k, weights=cols) / n
+    d2 = (rows - cr[k]) ** 2 + (cols - cc[k]) ** 2
+    # per cluster, the member nearest its centroid; ties by lowest (row, col)
+    order = np.lexsort((cols, rows, d2, k))
+    first = order[np.r_[True, k[order][1:] != k[order][:-1]]]
+    return sorted(zip(rows[first].tolist(), cols[first].tolist()))
 
 
 def next_goal(policy: str, grid: OccupancyGrid, agent: AgentState,
               rng: np.random.Generator, extra_blocked=frozenset()):
     """Choose the next navigation goal cell, or None when exploration is done.
 
-    random: uniform over free cells reachable from the agent cell.
-    frontier: reachable frontier cell with minimal path distance, ties broken
-    by lowest (row, col).
+    Reachable means 4-connected to the agent cell over free cells not in
+    extra_blocked. random: uniform over reachable cells, one rng.integers
+    draw over them in (row, col) order. frontier: reachable frontier
+    representative with minimal path distance, ties by lowest (row, col).
     """
     start = grid.world_to_cell(agent.pose.x, agent.pose.y)
     if not grid.in_bounds(start):
         return None
-    dist = _bfs_distances(grid, start, extra_blocked)
-    if not dist:
+    passable = grid.cells == FREE
+    for cell in extra_blocked:
+        if grid.in_bounds(cell):
+            passable[cell] = False
+    if not passable[start]:
         return None
     if policy == "random":
-        candidates = sorted(dist.keys())
-        idx = int(rng.integers(len(candidates)))
-        return candidates[idx]
+        from scipy import ndimage
+        labels, _ = ndimage.label(passable)     # default structure: 4-connected
+        candidates = np.flatnonzero(labels == labels[start])
+        idx = int(candidates[rng.integers(len(candidates))])
+        return divmod(idx, passable.shape[1])
     if policy == "frontier":
-        frontiers = [f for f in frontier_goals(grid) if f in dist]
-        if not frontiers:
-            return None
-        return min(frontiers, key=lambda f: (dist[f], f[0], f[1]))
+        width = passable.shape[1] + 2
+        unseen = bytearray(np.pad(passable, 1).tobytes())  # closed border
+        goals = bytearray(len(unseen))
+        for r, c in frontier_goals(grid):
+            goals[(r + 1) * width + c + 1] = 1
+        level = [(start[0] + 1) * width + start[1] + 1]
+        unseen[level[0]] = 0
+        while level:
+            hits = [i for i in level if goals[i]]
+            if hits:
+                return divmod(min(hits) - width - 1, width)
+            nxt = []
+            for i in level:
+                for j in (i - width, i + width, i - 1, i + 1):
+                    if unseen[j]:
+                        unseen[j] = 0
+                        nxt.append(j)
+            level = nxt
+        return None
     raise ValueError(f"unknown policy: {policy}")
 
 
@@ -377,18 +379,16 @@ def run_episode(scene: SceneSpec, policy: str, noise: NoiseModel, n_steps: int,
                 if action is not None:
                     break
                 nav.clear()  # goal reached
-            goal = next_goal(policy, grid, agent, goal_rng,
-                             extra_blocked=frozenset(nav.blocked_cells))
+            blocked = frozenset(nav.blocked_cells)
+            goal = next_goal(policy, grid, agent, goal_rng, extra_blocked=blocked)
             if goal is None and policy == "frontier":
                 # map fully explored: patrol random reachable goals so the
                 # remaining budget keeps collecting object views
-                goal = next_goal("random", grid, agent, goal_rng,
-                                 extra_blocked=frozenset(nav.blocked_cells))
+                goal = next_goal("random", grid, agent, goal_rng, extra_blocked=blocked)
             if goal is None:
                 break
             start = grid.world_to_cell(agent.pose.x, agent.pose.y)
-            path = plan_path(grid, start, goal,
-                             extra_blocked=frozenset(nav.blocked_cells))
+            path = plan_path(grid, start, goal, extra_blocked=blocked)
             if path is None:
                 nav.clear()
                 continue

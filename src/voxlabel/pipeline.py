@@ -257,7 +257,9 @@ def _labels_stage(config: RunConfig, trajectory: Trajectory):
     dataset = build_pseudo_dataset(
         trajectory, vmap, config.camera,
         occlusion_tolerance=config.occlusion_tolerance)
-    coco = _round_floats(dataset_to_coco(dataset, config.camera))
+    coco = dataset_to_coco(dataset, config.camera)
+    for ann in coco["annotations"]:   # the only floats; RLE counts are ints
+        ann["lambda_bar"] = [round(x, 6) for x in ann["lambda_bar"]]
     return dataset, canonical_dumps(coco) + "\n"
 
 

@@ -35,8 +35,10 @@ class SceneInfeasibleError(ValueError):
 
 
 @dataclass(frozen=True)
-class Box:
-    """Axis-aligned 3D box, meters."""
+class Box(JsonDataclass):
+    """Axis-aligned 3D box, meters; kept in JSON as a list of six numbers."""
+
+    _json_as_list = True
 
     xmin: float
     ymin: float
@@ -61,13 +63,6 @@ class Box:
         return (self.xmin - margin <= x <= self.xmax + margin
                 and self.ymin - margin <= y <= self.ymax + margin)
 
-    def to_json(self) -> list[float]:
-        return [self.xmin, self.ymin, self.zmin, self.xmax, self.ymax, self.zmax]
-
-    @classmethod
-    def from_json(cls, data) -> "Box":
-        return cls(*[float(v) for v in data])
-
 
 def _boxes_xy_gap(a: Box, b: Box) -> float:
     """Smallest horizontal gap between two boxes' footprints (0 if overlapping)."""
@@ -77,7 +72,7 @@ def _boxes_xy_gap(a: Box, b: Box) -> float:
 
 
 @dataclass(frozen=True)
-class ObjectInstance:
+class ObjectInstance(JsonDataclass):
     gt_id: int
     class_id: int
     box: Box
@@ -88,8 +83,12 @@ class ObjectInstance:
 
 
 @dataclass(frozen=True)
-class SceneSpec:
-    """Ground-truth world: room bounds, obstacle boxes, labeled object boxes."""
+class SceneSpec(JsonDataclass):
+    """Ground-truth world: room bounds, obstacle boxes, labeled object boxes.
+
+    A JsonDataclass: scene.json is its to_json, and from_json rejects unknown
+    keys and mistyped values, naming the field.
+    """
 
     bounds: Box
     obstacles: tuple[Box, ...]
@@ -107,37 +106,9 @@ class SceneSpec:
     def all_solid_boxes(self) -> list[Box]:
         return list(self.obstacles) + [o.box for o in self.objects]
 
-    def to_json(self) -> dict:
-        return {
-            "bounds": self.bounds.to_json(),
-            "obstacles": [b.to_json() for b in self.obstacles],
-            "objects": [
-                {"gt_id": o.gt_id, "class_id": o.class_id, "box": o.box.to_json()}
-                for o in self.objects
-            ],
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SceneSpec":
-        return cls(
-            bounds=Box.from_json(data["bounds"]),
-            obstacles=tuple(Box.from_json(b) for b in data["obstacles"]),
-            objects=tuple(
-                ObjectInstance(int(o["gt_id"]), int(o["class_id"]), Box.from_json(o["box"]))
-                for o in data["objects"]
-            ),
-            seed=int(data.get("seed", 0)),
-        )
-
     def save(self, path) -> None:
         with open(path, "w") as f:
             json.dump(self.to_json(), f, indent=2, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "SceneSpec":
-        with open(path) as f:
-            return cls.from_json(json.load(f))
 
 
 @dataclass(frozen=True)

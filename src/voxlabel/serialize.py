@@ -13,18 +13,25 @@ import numpy as np
 
 
 class JsonDataclass:
-    """Base of the frozen dataclasses kept as JSON objects: configs and Pose.
+    """Base of the frozen dataclasses kept in JSON: configs, Pose and scenes.
 
-    to_json emits every field, nested ones as objects and tuples as lists.
+    to_json emits every field, nested ones as objects and tuples as lists;
+    a class with _json_as_list set is kept as the list of its field values.
     from_json raises ValueError naming the field, dotted when nested, for an
     unknown key, a missing required field or a value of the wrong JSON type;
     an int given for a float field becomes a float. Fields may be bool, int,
     float, str, JsonDataclass, tuple[X, ...] or X | None. Range checks are
-    each class's __post_init__, mostly calls of _require.
+    each class's __post_init__, mostly calls of _require; from_json prefixes
+    a nested class's error with the path of the field it decodes.
     """
 
-    def to_json(self) -> dict:
-        return {k: _encode(getattr(self, k)) for k in self.__dataclass_fields__}
+    _json_as_list = False
+
+    def to_json(self):
+        values = [_encode(getattr(self, k)) for k in self.__dataclass_fields__]
+        if self._json_as_list:
+            return values
+        return dict(zip(self.__dataclass_fields__, values))
 
     @classmethod
     def from_json(cls, data):
@@ -75,16 +82,28 @@ def _decode(tp, value, path: str):
     if isinstance(value, list) and typing.get_origin(tp) is tuple:
         return tuple(_decode(args[0], v, f"{path}[{i}]")
                      for i, v in enumerate(value))
-    if (isinstance(value, dict) and isinstance(tp, type)
-            and issubclass(tp, JsonDataclass)):
+    if (isinstance(tp, type) and issubclass(tp, JsonDataclass)
+            and type(value) is (list if tp._json_as_list else dict)):
         fields, prefix = _fields(tp), path + "." if path else ""
+        if tp._json_as_list:
+            if len(value) != len(fields):
+                raise ValueError(f"{path or tp.__name__}: expected "
+                                 f"{len(fields)} values, got {len(value)}")
+            value = dict(zip(fields, value))
         for name in sorted(value.keys() - fields.keys()):
             raise ValueError(f"{prefix}{name}: not a field of {tp.__name__}")
         for name, (_, required) in fields.items():
             if required and name not in value:
                 raise ValueError(f"{prefix}{name}: missing required field")
-        return tp(**{k: _decode(fields[k][0], v, prefix + k)
-                     for k, v in value.items()})
+        kwargs = {k: _decode(fields[k][0], v, prefix + k) for k, v in value.items()}
+        try:
+            return tp(**kwargs)
+        except ValueError as exc:
+            if not path:
+                raise
+            # "noise.min_pixels must be ...", "objects[1]: box has ..."
+            sep = "." if str(exc).split(" ", 1)[0] in fields else ": "
+            raise ValueError(f"{path}{sep}{exc}") from exc
     raise ValueError(f"{path or tp.__name__}: expected {tp.__name__}, "
                      f"got {value!r}")
 

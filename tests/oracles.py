@@ -79,6 +79,84 @@ def bfs_path_cost(cells_free, start, goal):
     return None
 
 
+def occupancy_by_column_march(cells, frame, K, cell_size, origin,
+                              max_range=10.0, free=1, occupied=2):
+    """Occupancy update by a python march per image column.
+
+    Each column's track is sampled at every t = step, 2 step, ... up to
+    max_range (step = cell_size / 2), with no cut at the frame's farthest
+    return; samples short of the column's nearest positive depth (max_range
+    when there is none) free their cell, then each return's cell becomes
+    occupied. Mutates and returns cells.
+    """
+    pose = frame.pose
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+    rows, cols = cells.shape
+    step = cell_size * 0.5
+    ts = np.arange(step, max_range + step, step).tolist()
+
+    def cell_of(x, y):
+        col = math.floor((x - origin[0]) / cell_size)
+        row = math.floor((y - origin[1]) / cell_size)
+        return (row, col) if 0 <= row < rows and 0 <= col < cols else None
+
+    returns = []
+    for u in range(K.width):
+        us = (u - K.cx) / K.fx
+        dx, dy = c + us * s, s + us * -c
+        hits = [float(d) for d in frame.depth[:, u] if d > 0]
+        depth = min(hits) if hits else max_range
+        for t in ts:
+            cell = cell_of(pose.x + t * dx, pose.y + t * dy)
+            if t < depth - 1e-9 and cell is not None:
+                cells[cell] = free
+        if hits:
+            returns.append(cell_of(pose.x + depth * dx, pose.y + depth * dy))
+    for cell in returns:
+        if cell is not None:
+            cells[cell] = occupied
+    return cells
+
+
+def bfs_distances(cells, start, free=1, extra_blocked=frozenset()):
+    """Shortest 4-connected path length from start to every reachable free
+    cell not in extra_blocked, as a dict; empty when start itself is not."""
+    from collections import deque
+    if cells[start] != free or start in extra_blocked:
+        return {}
+    dist = {start: 0}
+    q = deque([start])
+    rows, cols = cells.shape
+    while q:
+        r, c = q.popleft()
+        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if (0 <= nr < rows and 0 <= nc < cols and cells[nr, nc] == free
+                    and (nr, nc) not in dist and (nr, nc) not in extra_blocked):
+                dist[(nr, nc)] = dist[(r, c)] + 1
+                q.append((nr, nc))
+    return dist
+
+
+def next_goal_by_bfs(policy, cells, start, rng, frontiers, free=1,
+                     extra_blocked=frozenset()):
+    """Goal choice from a full distance map: random draws uniformly over the
+    reachable cells in (row, col) order, frontier takes the reachable
+    frontier cell nearest by path, ties to the lowest (row, col)."""
+    rows, cols = cells.shape
+    if not (0 <= start[0] < rows and 0 <= start[1] < cols):
+        return None
+    dist = bfs_distances(cells, start, free, extra_blocked)
+    if not dist:
+        return None
+    if policy == "random":
+        candidates = sorted(dist)
+        return candidates[int(rng.integers(len(candidates)))]
+    reachable = [f for f in frontiers if f in dist]
+    if not reachable:
+        return None
+    return min(reachable, key=lambda f: (dist[f], f[0], f[1]))
+
+
 def frontier_scan(cells, free=1, unknown=0):
     """Frontier representatives by definition scan + BFS clustering."""
     rows, cols = cells.shape

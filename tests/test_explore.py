@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,10 +10,12 @@ from voxlabel.explore import (FREE, OCCUPIED, UNKNOWN, Action, AgentState,
                               plan_path, run_episode, step_agent,
                               update_occupancy)
 from voxlabel.pipeline import trajectory_to_jsonl
-from voxlabel.scene import (Box, Pose, SceneParams, SceneSpec, generate_scene,
-                            render_frame)
+from voxlabel.scene import (Box, CameraIntrinsics, FrameObservation, Pose, SceneParams, SceneSpec,
+                            generate_scene, render_frame)
+from voxlabel.serialize import derive_seed
 
-from oracles import bfs_path_cost, frontier_scan
+from oracles import (bfs_path_cost, frontier_scan, next_goal_by_bfs,
+                     occupancy_by_column_march)
 
 
 def empty_grid(rows=40, cols=40, cell=0.1):
@@ -132,6 +135,77 @@ class TestNextGoal:
         grid = empty_grid()
         agent = AgentState(pose=Pose(x=0.05, y=0.05, yaw=0.0))
         assert next_goal("frontier", grid, agent, np.random.default_rng(0)) is None
+
+
+class TestGoalSearchOracle:
+    """next_goal and update_occupancy against the python oracles."""
+
+    def test_next_goal_matches_dict_bfs(self):
+        rng = np.random.default_rng(11)
+        found = {"frontier": 0, "random": 0}
+        for trial in range(200):
+            rows, cols = (int(n) for n in rng.integers(3, 25, size=2))
+            cells = rng.choice([UNKNOWN, FREE, OCCUPIED], size=(rows, cols),
+                               p=[0.25, 0.6, 0.15]).astype(np.uint8)
+            grid = OccupancyGrid(cell_size=0.1, cells=cells, origin=(0.0, 0.0))
+            # the agent cell, sometimes outside the grid
+            start = (int(rng.integers(-1, rows + 1)), int(rng.integers(-1, cols + 1)))
+            agent = AgentState(pose=Pose(x=(start[1] + 0.5) * 0.1,
+                                         y=(start[0] + 0.5) * 0.1, yaw=0.0))
+            blocked = {(int(rng.integers(-2, rows + 2)), int(rng.integers(-2, cols + 2)))
+                       for _ in range(rng.integers(0, 6))}
+            if rng.random() < 0.1:
+                blocked.add(start)
+            blocked = frozenset(blocked)
+            frontiers = frontier_scan(cells, free=FREE, unknown=UNKNOWN)
+            for policy in ("frontier", "random"):
+                got_rng = np.random.default_rng(trial)
+                want_rng = np.random.default_rng(trial)
+                got = next_goal(policy, grid, agent, got_rng, extra_blocked=blocked)
+                want = next_goal_by_bfs(policy, cells, start, want_rng, frontiers,
+                                        free=FREE, extra_blocked=blocked)
+                assert got == want, (trial, policy)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+                found[policy] += got is not None
+        assert min(found.values()) > 50, found
+
+    def test_boxed_in_agent_gets_no_goal(self):
+        grid = empty_grid(9, 9)
+        grid.cells[2:7, 2:7] = FREE
+        agent = AgentState(pose=Pose(x=0.45, y=0.45, yaw=0.0))    # cell (4, 4)
+        ring = frozenset({(3, 4), (5, 4), (4, 3), (4, 5)})
+
+        def goal(policy, blocked):
+            return next_goal(policy, grid, agent, np.random.default_rng(0),
+                             extra_blocked=blocked)
+
+        assert goal("frontier", frozenset()) is not None
+        # inside the ring the agent cell is all that is reachable
+        assert goal("frontier", ring) is None
+        assert goal("random", ring) == (4, 4)
+        for blocked in (ring | {(4, 4)}, frozenset({(4, 4)})):
+            assert goal("frontier", blocked) is None
+            assert goal("random", blocked) is None
+
+    def test_update_occupancy_matches_unclipped_march(self, cam, box_scene):
+        rng = np.random.default_rng(3)
+        grid = OccupancyGrid.for_scene(box_scene)
+        want = grid.cells.copy()
+        frames = []
+        for _ in range(12):
+            pose = Pose(x=float(rng.uniform(0.3, 7.7)), y=float(rng.uniform(0.3, 7.7)),
+                        yaw=float(rng.uniform(-math.pi, math.pi)), camera_height=1.25)
+            frames.append(render_frame(box_scene, pose, cam))
+        pose = Pose(x=4.0, y=4.0, yaw=0.7, camera_height=1.25)
+        empty = np.zeros((cam.height, cam.width))
+        frames.append(FrameObservation(pose, empty, empty.astype(np.int32) - 1))
+        frames.append(FrameObservation(pose, empty + 0.03, frames[-1].gt_instance))
+        for frame in frames:
+            update_occupancy(grid, frame, cam)
+            occupancy_by_column_march(want, frame, cam, grid.cell_size,
+                                      grid.origin, free=FREE, occupied=OCCUPIED)
+            assert (grid.cells == want).all()
+        assert (want == FREE).any() and (want == OCCUPIED).any()
 
 
 class TestPlanPath:
@@ -261,3 +335,27 @@ class TestRunEpisode:
         interior = (grid.cells == FREE).sum() / (58 * 58)
         # measured 0.969 on the pinned scenario; generous floor
         assert interior >= 0.9
+
+
+REFERENCE_NOISE = NoiseModel.uniform_confusion(
+    0.75, dropout_base=0.1, dropout_per_meter=0.05)
+
+# sha256 of trajectory_to_jsonl for 200-step reference-noise episodes on the
+# default scene of each seed. A goal-search or occupancy change that moves
+# any pose or detection changes these.
+TRAJECTORY_SHA256 = {
+    ("frontier", 0): "887276abbee5d056d45bf98637e1036ca61112cb323fd40d925346c0ea5fd548",
+    ("frontier", 4): "f2c88323584497e5a0307c1a127b8e8d472657b6ff5c9e08a0c766f3976bcd72",
+    ("random", 0): "2769a187f96e051a957b3d9479827eea8eca67ea2d283fbf0b9abd6d96b53241",
+    ("random", 4): "6ef0e6209cd76b632947247ecadc8943e0fe9ece977e7d9de9fab45ef2ef2bb6",
+}
+
+
+@pytest.mark.parametrize("policy, seed", sorted(TRAJECTORY_SHA256))
+def test_trajectory_bytes_pinned(policy, seed):
+    scene = generate_scene(SceneParams(), derive_seed(seed, "scene"))
+    traj, _ = run_episode(scene, policy, REFERENCE_NOISE, 200,
+                          CameraIntrinsics.default(),
+                          seed=derive_seed(seed, "episode"))
+    digest = hashlib.sha256(trajectory_to_jsonl(traj).encode()).hexdigest()
+    assert digest == TRAJECTORY_SHA256[policy, seed]

@@ -271,6 +271,18 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"^{field}: "):
             RunConfig.from_json(data)
 
+    @pytest.mark.parametrize("data, message", [
+        ({"noise": {"min_pixels": 0}}, "noise.min_pixels must be at least 1, got 0"),
+        ({"camera": {**RunConfig().camera.to_json(), "fx": -1.0}},
+         "camera.fx must be positive, got -1.0"),
+        ({"train_config": {"holdout_fraction": 2.0}},
+         r"train_config.holdout_fraction must be in \[0, 1\], got 2.0"),
+        ({"steps": 0}, "steps must be at least 1, got 0"),
+    ])
+    def test_from_json_range_error_names_dotted_field(self, data, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            RunConfig.from_json(data)
+
     def test_load_from_file(self, tmp_path):
         from voxlabel.serialize import canonical_dumps
         config = small_config(seed=17)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,29 @@ class TestGenerateScene:
             back = type(value).from_json(json.loads(json.dumps(value.to_json())))
             assert back == value
             assert back.to_json() == value.to_json()
+
+
+    @pytest.mark.parametrize("change, field", [
+        ({"sede": 3, "seed": 4}, "sede: not a field of SceneSpec"),
+        ({"seed": "4"}, "seed: expected int, got '4'"),
+        ({"bounds": [0, 0, 0, 5, 5]}, "bounds: expected 6 values, got 5"),
+        ({"bounds": [0, 0, 0, 5, True, 3]}, "bounds.ymax: expected float"),
+        ({"obstacles": [[0, 0, 0, 0, 1, 1]]}, "obstacles[0]: box has non-positive"),
+        ({"objects": [{"gt_id": 0, "class_id": 9, "box": [1, 1, 0, 2, 2, 1]}]},
+         "objects[0].class_id out of range"),
+        ({"objects": [{"gt_id": 0, "box": [1, 1, 0, 2, 2, 1]}]},
+         "objects[0].class_id: missing required field"),
+    ])
+    def test_from_json_rejects_bad_field(self, change, field):
+        data = {"bounds": [0, 0, 0, 5, 5, 3], "obstacles": [], "objects": [],
+                **change}
+        with pytest.raises(ValueError, match=f"^{re.escape(field)}"):
+            SceneSpec.from_json(data)
+
+    def test_from_json_keeps_seed_optional_and_ints_as_floats(self):
+        scene = SceneSpec.from_json({"bounds": [0, 0, 0, 5, 5, 3],
+                                     "obstacles": [], "objects": []})
+        assert scene.seed == 0 and type(scene.bounds.xmax) is float
 
 
 class TestRenderFrame:
