@@ -17,7 +17,7 @@ from pathlib import Path
 from .detector import NoiseModel
 from .losses import TrainConfig
 from .pipeline import RunConfig, run_grid, run_pipeline
-from .scene import SceneParams, generate_scene
+from .scene import SceneParams, SceneSpec, generate_scene
 
 
 def _default_out() -> str:
@@ -39,8 +39,14 @@ def _load_config(args) -> RunConfig:
         run["train"] = True
     train = {attr: getattr(args, attr) for attr in (
         "margin", "epochs", "lr", "batch_size") if getattr(args, attr, None) is not None}
-    return replace(config, **run,
-                   train_config=replace(config.train_config, **train))
+    config = replace(config, **run,
+                     train_config=replace(config.train_config, **train))
+    if config.scene_file:
+        try:
+            SceneSpec.load(config.scene_file)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"--scene {config.scene_file}: {exc}") from None
+    return config
 
 
 def _grid_axes(args) -> dict:

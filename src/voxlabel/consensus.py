@@ -74,7 +74,9 @@ class SemanticVoxelMap:
 
     After resolution `voxels` holds the (n, 3) int64 occupied keys in
     lexicographic order, with `voxel_class` and `voxel_instance` (-1 for no
-    instance) aligned to it.
+    instance) aligned to it. After extraction `member_centres` holds the
+    instance voxels' centres in uid order, column-major for per-axis reads,
+    and `member_uid` their uids.
     """
 
     def __init__(self, voxel_size: float = DEFAULT_VOXEL_SIZE):
@@ -197,6 +199,8 @@ def extract_instances(vmap: SemanticVoxelMap,
         uid: InstanceRecord(uid=uid, class_id=int(cls[idx[0]]),
                             voxels=vmap.voxels[idx])
         for uid, idx in enumerate(members)}
+    vmap.member_centres = np.asfortranarray(vmap.voxels[order] + 0.5) * vmap.voxel_size
+    vmap.member_uid = vmap.voxel_instance[order]
     vmap.extracted = True
     return vmap
 

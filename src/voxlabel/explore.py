@@ -6,7 +6,7 @@ nearest-frontier exploration. Episodes are fully deterministic given a seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 import heapq
 import math
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .detector import DetectionSet, NoiseModel, simulate_detections
-from .scene import (Box, CameraIntrinsics, FrameObservation, Pose, SceneSpec,
+from .scene import (CameraIntrinsics, FrameObservation, Pose, SceneSpec,
                     normalize_angle, render_frame)
 from .serialize import derive_seed
 

@@ -1,10 +1,11 @@
 """Project extracted 3D instances back onto every frame as pseudo-labels.
 
-Each voxel center is projected through the camera; a depth-buffer test with a
-small tolerance handles occlusion, and each accepted voxel is splatted with
-its projected footprint so masks stay dense. Overlapping instances are
-resolved in one z-buffer pass: nearer depth wins, an exact tie goes to the
-lower uid.
+Each instance voxel's centre, computed once per map, is projected through the
+camera; a depth-buffer test with a small tolerance handles occlusion, and each
+accepted voxel splats its square footprint so masks stay dense. Overlaps
+resolve on one int64 key per voxel, (depth rank, uid), spread over each
+footprint radius by a minimum filter: nearer depth wins, an exact tie goes to
+the lower uid.
 """
 
 from __future__ import annotations
@@ -12,10 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .consensus import SemanticVoxelMap
 from .detector import mask_bbox
 from .scene import CameraIntrinsics, FrameObservation, world_to_pixel
+
+_NO_KEY = 1 << 62   # "no voxel"; minimum_filter's float cval holds it exactly
 
 
 @dataclass
@@ -63,10 +67,7 @@ def project_instance_masks(vmap: SemanticVoxelMap, frame: FrameObservation,
     if tol < 0:
         raise ValueError(f"occlusion_tolerance must be non-negative, got {tol}")
     H, W = K.height, K.width
-    member = vmap.voxel_instance >= 0
-    owner = vmap.voxel_instance[member]
-    u, v, d = world_to_pixel((vmap.voxels[member] + 0.5) * vmap.voxel_size,
-                             K, frame.pose)
+    u, v, d = world_to_pixel(vmap.member_centres, K, frame.pose)
     ui = np.round(u).astype(int)
     vi = np.round(v).astype(int)
     ok = (d > 0) & (ui >= 0) & (ui < W) & (vi >= 0) & (vi < H)
@@ -74,29 +75,24 @@ def project_instance_masks(vmap: SemanticVoxelMap, frame: FrameObservation,
     ok[ok] = (frame_d > 0) & (np.abs(d[ok] - frame_d) <= tol)
     if not ok.any():
         return []
-    ui, vi, d, owner = ui[ok], vi[ok], d[ok], owner[ok]
+    pix, d, owner = vi[ok] * W + ui[ok], d[ok], vmap.member_uid[ok]
     radii = np.ceil(vmap.voxel_size * K.fx / (2.0 * d)).astype(int)
-
-    pix, src = [], []       # splatted pixel, index of the splatting voxel
-    for r in np.unique(radii):
-        idx = np.flatnonzero(radii == r)
-        dy, dx = (o.ravel() for o in np.mgrid[-r:r + 1, -r:r + 1])
-        tv, tu = vi[idx, None] + dy, ui[idx, None] + dx
-        inb = (tu >= 0) & (tu < W) & (tv >= 0) & (tv < H)
-        pix.append(tv[inb] * W + tu[inb])
-        src.append(idx[np.nonzero(inb)[0]])
-    pix, src = np.concatenate(pix), np.concatenate(src)
-    depth, who = d[src], owner[src]
-
-    zbuf = np.full(H * W, np.inf)
-    np.minimum.at(zbuf, pix, depth)
-    nearest = depth == zbuf[pix]
-    winner = np.full(H * W, np.iinfo(np.int64).max)
-    np.minimum.at(winner, pix[nearest], who[nearest])
+    # (exact depth rank, uid) in one int64: the nearer voxel has the smaller
+    # key, and of two at the same depth the lower uid
+    n = len(vmap.instances)
+    key = np.unique(d, return_inverse=True)[1] * n + owner
+    # a centre splats pixel p iff it lies in p's (2r + 1)-square window
+    best = np.full((H, W), _NO_KEY)
+    for r in np.unique(radii).tolist():
+        centre = np.full(H * W, _NO_KEY)
+        np.minimum.at(centre, pix[radii == r], key[radii == r])
+        best = np.minimum(best, ndimage.minimum_filter(
+            centre.reshape(H, W), 2 * r + 1, mode="constant", cval=_NO_KEY))
+    winner = np.where(best < _NO_KEY, best % n, -1)
 
     labels: list[PseudoLabel] = []
-    for uid in np.unique(winner[np.isfinite(zbuf)]).tolist():
-        mask = winner.reshape(H, W) == uid
+    for uid in np.unique(winner[winner >= 0]).tolist():
+        mask = winner == uid
         inst = vmap.instances[uid]
         labels.append(PseudoLabel(uid=uid, class_id=inst.class_id,
                                   lambda_bar=inst.consistent_logits,

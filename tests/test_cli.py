@@ -78,11 +78,17 @@ class TestMain:
         (["grid", "run", "--alphas", "0,x"], "--alphas"),
         (["grid", "run", "--alphas", "0,0.0"], "alphas"),
         (["grid", "run", "--policies", "frontier,greedy"], "policy"),
+        (["pipeline", "run", "--scene", "{scene}", "--steps", "5"], "sede"),
+        (["pipeline", "run", "--scene", "{missing}"], "--scene"),
+        (["grid", "run", "--scene", "{scene}"], "sede"),
     ])
     def test_bad_value_is_usage_error(self, tmp_path, capsys, argv, named):
         config = tmp_path / "config.json"
         config.write_text('{"stpes": 5}')
-        argv = [a.format(config=config) for a in argv]
+        scene = tmp_path / "scene.json"
+        scene.write_text('{"sede": 1}')
+        argv = [a.format(config=config, scene=scene,
+                         missing=tmp_path / "missing.json") for a in argv]
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "out")])
         assert exc.value.code == 2

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from voxlabel.reproject import (PseudoDataset, build_pseudo_dataset,
 from voxlabel.scene import (Box, CameraIntrinsics, FrameObservation,
                             ObjectInstance, Pose, SceneParams, SceneSpec,
                             generate_scene, render_frame, world_to_pixel)
+from voxlabel.serialize import canonical_dumps, derive_seed
 
 from oracles import painter_reproject
 
@@ -233,6 +236,17 @@ class TestPainterOracle:
         assert labels[0].mask[shared].all()
         assert not labels[1].mask[shared].any()
 
+    @pytest.mark.parametrize("first, second", [(1, 4), (12, 4)])
+    def test_refinalized_map_matches_painter(self, first, second):
+        # finalising again with another threshold renumbers the instances;
+        # reprojection must follow the new ones, not the first extraction's
+        vmap, frame, K = random_scene_map(0, 0.05)
+        finalize_map(vmap, min_instance_voxels=first)
+        before = len(vmap.instances)
+        finalize_map(vmap, min_instance_voxels=second)
+        assert len(vmap.instances) != before
+        assert assert_matches_painter(vmap, frame, K, None)
+
 
 @pytest.fixture(scope="module")
 def episode_artifacts():
@@ -314,3 +328,38 @@ class TestEndToEnd:
             assert 0 <= ann["category_id"] < 6
             assert abs(sum(ann["lambda_bar"]) - 1.0) < 1e-9
             assert ann["bbox"][2] > 0 and ann["bbox"][3] > 0
+
+
+REFERENCE_NOISE = NoiseModel.uniform_confusion(
+    0.75, dropout_base=0.1, dropout_per_meter=0.05)
+
+# sha256 of the canonical COCO export for the frontier 200-step
+# reference-noise episode on the default scene of seed 0, mapped at each
+# voxel size. A reprojection change that moves any mask pixel, bbox or
+# lambda_bar changes these.
+COCO_SHA256 = {
+    0.05: "9da8361edef3d58ac497f4413d2c5669edcad66c826a37905e92114b2cb3b84c",
+    0.025: "5fbd95025097b0041037f4effb024e7adc62ff94265e6f083b1b5c7d192a0b48",
+}
+
+
+@pytest.fixture(scope="module")
+def reference_trajectory():
+    scene = generate_scene(SceneParams(), derive_seed(0, "scene"))
+    traj, _ = run_episode(scene, "frontier", REFERENCE_NOISE, 200,
+                          CameraIntrinsics.default(),
+                          seed=derive_seed(0, "episode"))
+    return traj
+
+
+@pytest.mark.parametrize("voxel_size", sorted(COCO_SHA256))
+def test_coco_bytes_pinned(reference_trajectory, voxel_size):
+    K = CameraIntrinsics.default()
+    vmap = SemanticVoxelMap(voxel_size=voxel_size)
+    for frame, dets in zip(reference_trajectory.frames,
+                           reference_trajectory.detections):
+        accumulate_frame(vmap, frame, dets, K)
+    finalize_map(vmap)
+    coco = dataset_to_coco(build_pseudo_dataset(reference_trajectory, vmap, K), K)
+    digest = hashlib.sha256(canonical_dumps(coco).encode()).hexdigest()
+    assert digest == COCO_SHA256[voxel_size]
