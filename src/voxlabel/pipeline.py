@@ -1,12 +1,13 @@
-"""End-to-end runs: explore -> accumulate -> resolve -> reproject -> evaluate.
+"""End-to-end runs: scene -> explore -> labels -> eval, then toy training.
 
-A single master seed derives every stage seed, so runs are reproducible and
-stages can be replayed independently. Each run writes its artifacts to its
-own directory along with a MANIFEST of content hashes; every file is written
-to a temporary name and renamed into place, and the MANIFEST reads "running"
-until the run ends. trajectory.jsonl keeps what cannot be recomputed, the
-poses and the detections; load_run reads a run back and re-renders its
-depth and gt-instance images from scene.json and config.json.
+A master seed derives every stage seed, so runs are reproducible. Only
+training reads alpha: _upstream runs the stages before it as one function
+whose result, their artifacts as text and the pseudo dataset, the grid
+cells of one (policy, seed) share. Each run writes its artifacts to its own
+directory with a MANIFEST of content hashes; every file is written to a
+temporary name and renamed into place, and the MANIFEST reads "running"
+until the run ends. trajectory.jsonl keeps only what cannot be recomputed,
+the poses and the detections; load_run re-renders the rest.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ class RunConfig(JsonDataclass):
         if self.policy not in ("frontier", "random"):
             raise ValueError("policy must be 'frontier' or 'random', "
                              f"got {self.policy!r}")
+        for name in ("alpha", "seed"):   # run_pipeline sets both from the run
+            value, default = getattr(self.train_config, name), getattr(TrainConfig, name)
+            if value != default:
+                raise ValueError(f"train_config.{name} must be {default}: the "
+                                 f"run's {name} sets it, got {value}")
 
 
 class StageError(RuntimeError):
@@ -149,12 +155,12 @@ def run_pipeline(config: RunConfig, out_dir, shared: dict | None = None) -> dict
     Files that the MANIFEST of an earlier run in out_dir lists and this run
     will not write are deleted first.
 
-    shared carries the stages before train (scene, explore, labels, eval),
-    which read neither alpha nor the train settings, between runs whose
-    configs differ only in those: pass each run the same dict. Each stage
-    runs once per dict; a later run writes the text it produced and reuses
-    its result, or re-raises its exception, so every run writes what it
-    would write alone.
+    shared carries the result of the stages before train (scene, explore,
+    labels, eval), which read neither alpha nor the train settings, between
+    runs whose configs differ only in those: pass each run the same dict.
+    The first run computes it; every run writes its texts, re-raises its
+    failure under the stage that raised it, and then trains, so each run
+    writes what it would write alone.
     """
     shared = {} if shared is None else shared
     key = _upstream_key(config)
@@ -175,44 +181,17 @@ def run_pipeline(config: RunConfig, out_dir, shared: dict | None = None) -> dict
         _write_atomic(out / name, text)
         manifest["files"][name] = sha256_file(out / name)
 
-    def once(compute):
-        # (value, text) of the current stage, computed once per shared dict
-        if stage not in shared:
-            try:
-                shared[stage] = (*compute(), None)
-            except Exception as exc:
-                shared[stage] = (None, None, exc)
-        value, text, exc = shared[stage]
-        if exc is not None:
-            raise exc
-        return value, text
-
     write_manifest()
     write("config.json", canonical_dumps(config.to_json()) + "\n")
-    stage = "scene"
+    if "upstream" not in shared:
+        shared["upstream"] = _upstream(config)
+    files, dataset, failure = shared["upstream"]
     try:
-        scene, text = once(lambda: _scene_stage(config))
-        write("scene.json", text)
-
-        stage = "explore"
-        trajectory, text = once(lambda: _explore_stage(config, scene))
-        write("trajectory.jsonl", text)
-
-        stage = "labels"
-        dataset, text = once(lambda: _labels_stage(config, trajectory))
-        write("pseudo_dataset.json", text)
-
-        stage = "eval"
-        (pseudo_report, raw_report), text = once(
-            lambda: _eval_stage(config, scene, trajectory, dataset))
-        write("eval.json", text)
-        write("eval.csv", eval_csv_text(config, pseudo_report, raw_report))
-        # No later stage reads the scene or the frames: free them before
-        # training, keeping only their texts for the runs that share them.
-        del scene, trajectory
-        for done in ("scene", "explore"):
-            shared[done] = (None, shared[done][1], None)
-
+        for stage, name, text in files:
+            write(name, text)
+        if failure is not None:
+            stage, exc = failure
+            raise exc
         if config.train:
             stage = "train"
             tc = replace(config.train_config, alpha=config.alpha,
@@ -232,55 +211,62 @@ def run_pipeline(config: RunConfig, out_dir, shared: dict | None = None) -> dict
 
 def _upstream_key(config: RunConfig) -> str:
     """The config as the stages before train read it."""
-    d = config.to_json()
-    for name in ("alpha", "train", "train_config"):
-        del d[name]
-    return canonical_dumps(d)
+    return canonical_dumps({k: v for k, v in config.to_json().items()
+                            if k not in ("alpha", "train", "train_config")})
 
 
-def _scene_stage(config: RunConfig):
-    scene = build_scene(config)
-    return scene, canonical_dumps(scene.to_json()) + "\n"
+def _upstream(config: RunConfig):
+    """Run scene -> explore -> labels -> eval: (files, dataset, failure).
+
+    files lists (stage, name, text) in write order. failure is (stage,
+    exception) for an Exception a stage raised, else None; the stages after
+    it do not run. The scene and the trajectory die on return: training
+    reads only the dataset.
+    """
+    files, dataset = [], None
+    stage = "scene"
+    try:
+        scene = build_scene(config)
+        files.append((stage, "scene.json", canonical_dumps(scene.to_json()) + "\n"))
+
+        stage = "explore"
+        trajectory = run_episode(
+            scene, config.policy, config.noise, config.steps, config.camera,
+            seed=derive_seed(config.seed, "episode"),
+            cell_size=config.cell_size, camera_height=config.camera_height,
+            max_range=config.max_range)[0]
+        files.append((stage, "trajectory.jsonl", trajectory_to_jsonl(trajectory)))
+
+        stage = "labels"
+        dataset = build_pseudo_dataset(
+            trajectory, build_labels(trajectory, config), config.camera,
+            occlusion_tolerance=config.occlusion_tolerance)
+        files.append((stage, "pseudo_dataset.json",
+                      _coco_text(dataset, config.camera)))
+
+        stage = "eval"
+        pseudo, raw = (evaluate_pseudo_labels(
+            labels, trajectory, scene, config.camera,
+            min_pixels=config.noise.min_pixels)
+            for labels in (dataset, trajectory.detections))
+        eval_blob = {"pseudo": pseudo.to_json(), "raw": raw.to_json(),
+                     "improvement": pseudo.map50 - raw.map50}
+        files.append((stage, "eval.json",
+                      canonical_dumps(_round_floats(eval_blob, 9)) + "\n"))
+    except Exception as exc:
+        return files, dataset, (stage, exc)
+    return files, dataset, None
 
 
-def _explore_stage(config: RunConfig, scene: SceneSpec):
-    trajectory, _grid = run_episode(
-        scene, config.policy, config.noise, config.steps, config.camera,
-        seed=derive_seed(config.seed, "episode"),
-        cell_size=config.cell_size, camera_height=config.camera_height,
-        max_range=config.max_range)
-    return trajectory, trajectory_to_jsonl(trajectory)
-
-
-def _labels_stage(config: RunConfig, trajectory: Trajectory):
-    vmap = build_labels(trajectory, config)
-    dataset = build_pseudo_dataset(
-        trajectory, vmap, config.camera,
-        occlusion_tolerance=config.occlusion_tolerance)
-    coco = dataset_to_coco(dataset, config.camera)
+def _coco_text(dataset, K: CameraIntrinsics) -> str:
+    coco = dataset_to_coco(dataset, K)
     for ann in coco["annotations"]:   # the only floats; RLE counts are ints
         ann["lambda_bar"] = [round(x, 6) for x in ann["lambda_bar"]]
-    return dataset, canonical_dumps(coco) + "\n"
-
-
-def _eval_stage(config: RunConfig, scene, trajectory, dataset):
-    pseudo_report = evaluate_pseudo_labels(
-        dataset, trajectory, scene, config.camera,
-        min_pixels=config.noise.min_pixels)
-    raw_report = evaluate_pseudo_labels(
-        trajectory.detections, trajectory, scene, config.camera,
-        min_pixels=config.noise.min_pixels)
-    eval_blob = {
-        "pseudo": pseudo_report.to_json(),
-        "raw": raw_report.to_json(),
-        "improvement": pseudo_report.map50 - raw_report.map50,
-    }
-    return ((pseudo_report, raw_report),
-            canonical_dumps(_round_floats(eval_blob, 9)) + "\n")
+    return canonical_dumps(coco) + "\n"
 
 
 _ARTIFACTS = ("config.json", "scene.json", "trajectory.jsonl",
-              "pseudo_dataset.json", "eval.json", "eval.csv")
+              "pseudo_dataset.json", "eval.json")
 
 
 def _remove_stale(out: Path, keep: tuple):
@@ -309,36 +295,16 @@ def _write_atomic(path: Path, text: str):
         tmp.unlink(missing_ok=True)
 
 
-EVAL_CSV_COLUMNS = ["policy", "alpha", "seed", "map50"] + \
-    [f"ap_{c}" for c in range(6)] + ["raw_map50", "improvement"]
-
-
-def eval_csv_text(config: RunConfig, pseudo_report, raw_report) -> str:
-    row = [config.policy, config.alpha, config.seed,
-           round(pseudo_report.map50, 9)]
-    row += [("" if a is None else round(a, 9)) for a in pseudo_report.per_class_ap]
-    row += [round(raw_report.map50, 9),
-            round(pseudo_report.map50 - raw_report.map50, 9)]
-    return _csv_text([EVAL_CSV_COLUMNS, row])
-
-
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
-
-
 def run_grid(base: RunConfig, policies, alphas, seeds, out_root,
              max_workers: int = 1) -> str:
     """One pipeline run per (policy, alpha, seed); aggregate CSV per cell.
 
-    Only the train stage reads alpha, so the cells of one (policy, seed)
-    share every stage up to eval: the first cell runs them and the others
-    reuse the results, each cell still writing exactly what a standalone
-    run_pipeline of its config writes. With max_workers > 1 each (policy,
-    seed) group is one job in a process pool. Failures are recorded per
-    cell and the grid continues, whatever the exception, including a broken
-    worker pool. Returns the path of the aggregate CSV.
+    The cells of one (policy, seed) pass run_pipeline one shared dict, so
+    the stages before train run once per group; each cell still writes
+    exactly what a standalone run_pipeline of its config writes. With
+    max_workers > 1 each group is one job in a process pool. Failures are
+    recorded per cell and the grid continues, whatever the exception,
+    including a broken worker pool. Returns the path of the aggregate CSV.
     """
     from concurrent.futures import ProcessPoolExecutor
 
@@ -400,8 +366,10 @@ def run_grid(base: RunConfig, policies, alphas, seeds, out_root,
             rows.append([p, a, len(ok), n_failed, m_mean, m_std,
                          i_mean, i_std, acc_mean, acc_std])
 
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
     agg_path = out_root / "aggregate.csv"
-    _write_atomic(agg_path, _csv_text(rows))
+    _write_atomic(agg_path, buf.getvalue())
     return str(agg_path)
 
 
@@ -419,13 +387,12 @@ def _run_group(jobs) -> list:
 def _run_cell(config: RunConfig, out_dir, shared: dict | None = None) -> dict:
     try:
         manifest = run_pipeline(config, out_dir, shared=shared)
-        with open(Path(out_dir) / "eval.json") as f:
-            ev = json.load(f)
+        ev = json.loads((Path(out_dir) / "eval.json").read_text())
         result = {"status": "ok", "map50": ev["pseudo"]["map50"],
                   "improvement": ev["improvement"], "accuracy": None}
         if "train_report.json" in manifest["files"]:
-            with open(Path(out_dir) / "train_report.json") as f:
-                result["accuracy"] = json.load(f)["final_accuracy"]
+            result["accuracy"] = json.loads((Path(out_dir) / "train_report.json")
+                                            .read_text())["final_accuracy"]
     except StageError as exc:
         return {"status": f"failed: {exc.stage}"}
     except Exception as exc:

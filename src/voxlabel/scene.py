@@ -339,16 +339,13 @@ def pixel_to_world(u, v, d, K: CameraIntrinsics, pose: Pose) -> np.ndarray:
 
 
 def world_to_pixel(p, K: CameraIntrinsics, pose: Pose):
-    """Project world point(s) to (u, v, planar depth).
+    """Project world points (..., 3) to arrays (u, v, planar depth).
 
-    Returns None for a single point behind the camera (Z <= 0). For arrays,
-    returns (u, v, d) with d <= 0 marking behind-camera points; the caller
-    clips to image bounds. Each point's result is bit-identical however
-    many points are projected with it.
+    d <= 0 marks points behind the camera; the caller clips to image
+    bounds. Each point's result is bit-identical however many points are
+    projected with it.
     """
-    p = np.asarray(p, dtype=float)
-    single = p.ndim == 1
-    rel = p - pose.position
+    rel = np.asarray(p, dtype=float) - pose.position
     # elementwise multiply-adds: a BLAS product (rel @ axis) rounds a row
     # differently depending on the length of the array around it
     X, Y, Z = (rel[..., 0] * a[0] + rel[..., 1] * a[1] + rel[..., 2] * a[2]
@@ -356,8 +353,4 @@ def world_to_pixel(p, K: CameraIntrinsics, pose: Pose):
     with np.errstate(divide="ignore", invalid="ignore"):
         u = X / Z * K.fx + K.cx
         v = Y / Z * K.fy + K.cy
-    if single:
-        if Z <= 0:
-            return None
-        return float(u), float(v), float(Z)
     return u, v, Z

@@ -53,7 +53,9 @@ class TestMain:
         assert rc == 0
         manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
         assert manifest["status"] == "ok"
-        assert "eval.csv" in manifest["files"]
+        assert sorted(manifest["files"]) == ["config.json", "eval.json",
+                                             "pseudo_dataset.json",
+                                             "scene.json", "trajectory.jsonl"]
 
     def test_out_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VOXLABEL_OUT", str(tmp_path / "envout"))
@@ -81,13 +83,17 @@ class TestMain:
         (["pipeline", "run", "--scene", "{scene}", "--steps", "5"], "sede"),
         (["pipeline", "run", "--scene", "{missing}"], "--scene"),
         (["grid", "run", "--scene", "{scene}"], "sede"),
+        (["pipeline", "run", "--config", "{train}"], "train_config.alpha"),
+        (["grid", "run", "--config", "{train}"], "train_config.alpha"),
     ])
     def test_bad_value_is_usage_error(self, tmp_path, capsys, argv, named):
         config = tmp_path / "config.json"
         config.write_text('{"stpes": 5}')
         scene = tmp_path / "scene.json"
         scene.write_text('{"sede": 1}')
-        argv = [a.format(config=config, scene=scene,
+        train = tmp_path / "train.json"
+        train.write_text('{"train_config": {"alpha": 0.1}}')
+        argv = [a.format(config=config, scene=scene, train=train,
                          missing=tmp_path / "missing.json") for a in argv]
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "out")])

@@ -11,9 +11,8 @@ import pytest
 from voxlabel import pipeline
 from voxlabel.detector import NoiseModel
 from voxlabel.losses import TrainConfig
-from voxlabel.pipeline import (EVAL_CSV_COLUMNS, RunConfig, StageError,
-                               build_labels, config_hash, load_run, run_grid,
-                               run_pipeline)
+from voxlabel.pipeline import (RunConfig, StageError, build_labels,
+                               config_hash, load_run, run_grid, run_pipeline)
 from voxlabel.reproject import build_pseudo_dataset, dataset_to_coco
 from voxlabel.scene import Box, SceneParams, SceneSpec
 from voxlabel.serialize import canonical_dumps
@@ -32,8 +31,7 @@ def small_config(**kw):
 
 
 EXPECTED_FILES = ["config.json", "scene.json", "trajectory.jsonl",
-                  "pseudo_dataset.json", "eval.json", "eval.csv",
-                  "MANIFEST.json"]
+                  "pseudo_dataset.json", "eval.json", "MANIFEST.json"]
 
 
 class TestRunPipeline:
@@ -44,13 +42,6 @@ class TestRunPipeline:
         for name in EXPECTED_FILES:
             assert (tmp_path / name).exists(), name
         assert set(manifest["files"]) == set(EXPECTED_FILES) - {"MANIFEST.json"}
-
-    def test_eval_csv_columns(self, tmp_path):
-        run_pipeline(small_config(steps=1), tmp_path)
-        with open(tmp_path / "eval.csv") as f:
-            rows = list(csv.reader(f))
-        assert rows[0] == EVAL_CSV_COLUMNS
-        assert len(rows) == 2
 
     def test_manifest_hashes_match_files(self, tmp_path):
         from voxlabel.serialize import sha256_file
@@ -278,6 +269,9 @@ class TestRunConfig:
         ({"train_config": {"holdout_fraction": 2.0}},
          r"train_config.holdout_fraction must be in \[0, 1\], got 2.0"),
         ({"steps": 0}, "steps must be at least 1, got 0"),
+        # run_pipeline trains at the run's alpha and a seed derived from its seed
+        ({"train_config": {"alpha": 0.1}}, "train_config.alpha must be 0.7"),
+        ({"train_config": {"seed": 5}}, "train_config.seed must be 0"),
     ])
     def test_from_json_range_error_names_dotted_field(self, data, message):
         with pytest.raises(ValueError, match=f"^{message}"):
@@ -464,6 +458,35 @@ class TestRunGrid:
                 == ["MANIFEST.json", "config.json"]
             for name in ("config.json", "MANIFEST.json"):
                 assert (cell / name).read_bytes() == (ref / name).read_bytes()
+
+    def test_replayed_failure_after_written_stages(self, tmp_path, monkeypatch):
+        calls = []
+
+        def broken_eval(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("eval broke")
+
+        monkeypatch.setattr(pipeline, "evaluate_pseudo_labels", broken_eval)
+        base = small_config(steps=10, train=True)
+        agg = run_grid(base, ["frontier"], [0.0, 0.7], [0], tmp_path / "grid")
+        assert len(calls) == 1
+        with open(agg) as f:
+            assert [row["n_failed"] for row in csv.DictReader(f)] == ["1", "1"]
+        for alpha in (0.0, 0.7):
+            cell = tmp_path / "grid" / f"frontier_alpha{alpha}_seed0"
+            manifest = json.loads((cell / "MANIFEST.json").read_text())
+            assert manifest["status"] == "failed at eval"
+            assert sorted(manifest["files"]) == ["config.json",
+                                                 "pseudo_dataset.json",
+                                                 "scene.json", "trajectory.jsonl"]
+            ref = tmp_path / f"ref{alpha}"
+            with pytest.raises(StageError) as err:
+                run_pipeline(replace(base, alpha=alpha), ref)
+            assert err.value.stage == "eval"
+            assert sorted(p.name for p in cell.iterdir()) \
+                == sorted(p.name for p in ref.iterdir())
+            for path in ref.iterdir():
+                assert (cell / path.name).read_bytes() == path.read_bytes()
 
     def test_replayed_failure_names_each_cells_config(self, tmp_path):
         base = small_config(steps=5, scene_file=str(tmp_path / "missing.json"))

@@ -188,7 +188,8 @@ class TestCameraModel:
 
     def test_behind_camera(self, cam):
         pose = Pose(x=0.0, y=0.0, yaw=0.0, camera_height=1.25)
-        assert world_to_pixel(np.array([-1.0, 0.0, 1.25]), cam, pose) is None
+        _, _, d = world_to_pixel(np.array([-1.0, 0.0, 1.25]), cam, pose)
+        assert d <= 0
 
     def test_invalid_depth(self, cam, pose_origin):
         with pytest.raises(ValueError, match="invalid depth"):
@@ -228,9 +229,9 @@ class TestCameraModel:
             ref = project_homogeneous(p, cam, pose)
             got = world_to_pixel(p, cam, pose)
             if ref is None:
-                assert got is None
+                assert got[2] <= 0
             else:
-                assert got is not None
+                assert got[2] > 0
                 assert abs(got[0] - ref[0]) < 1e-6
                 assert abs(got[1] - ref[1]) < 1e-6
                 assert abs(got[2] - ref[2]) < 1e-9
