@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import logging
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -31,7 +30,8 @@ from .losses import TrainConfig, toy_finetune
 from .reproject import build_pseudo_dataset, dataset_to_coco
 from .scene import (CameraIntrinsics, Pose, SceneParams, SceneSpec,
                     generate_scene, render_frame)
-from .serialize import JsonDataclass, canonical_dumps, derive_seed, sha256_file
+from .serialize import (JsonDataclass, canonical_dumps, derive_seed, sha256_file,
+                        write_atomic)
 
 logger = logging.getLogger(__name__)
 
@@ -175,10 +175,10 @@ def run_pipeline(config: RunConfig, out_dir, shared: dict | None = None) -> dict
     manifest = {"config_hash": chash, "status": "running", "files": {}}
 
     def write_manifest():
-        _write_atomic(out / "MANIFEST.json", canonical_dumps(manifest) + "\n")
+        write_atomic(out / "MANIFEST.json", canonical_dumps(manifest) + "\n")
 
     def write(name: str, text: str):
-        _write_atomic(out / name, text)
+        write_atomic(out / name, text)
         manifest["files"][name] = sha256_file(out / name)
 
     write_manifest()
@@ -285,16 +285,6 @@ def _remove_stale(out: Path, keep: tuple):
             (out / name).unlink(missing_ok=True)
 
 
-def _write_atomic(path: Path, text: str):
-    """Write text to a temporary file next to path, then rename it over path."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def run_grid(base: RunConfig, policies, alphas, seeds, out_root,
              max_workers: int = 1) -> str:
     """One pipeline run per (policy, alpha, seed); aggregate CSV per cell.
@@ -369,7 +359,7 @@ def run_grid(base: RunConfig, policies, alphas, seeds, out_root,
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     agg_path = out_root / "aggregate.csv"
-    _write_atomic(agg_path, buf.getvalue())
+    write_atomic(agg_path, buf.getvalue())
     return str(agg_path)
 
 

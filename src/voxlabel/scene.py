@@ -9,12 +9,11 @@ down=(0, 0, -1), forward=(cos yaw, sin yaw, 0). Depth is planar z-depth
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 import math
 
 import numpy as np
 
-from .serialize import JsonDataclass
+from .serialize import JsonDataclass, canonical_dumps, write_atomic
 
 CLASS_NAMES = ("toilet", "couch", "bed", "dining table", "potting plant", "tv")
 NUM_CLASSES = len(CLASS_NAMES)
@@ -50,14 +49,6 @@ class Box(JsonDataclass):
     def __post_init__(self):
         if not (self.xmax > self.xmin and self.ymax > self.ymin and self.zmax > self.zmin):
             raise ValueError(f"box has non-positive extent: {self}")
-
-    @property
-    def mins(self) -> np.ndarray:
-        return np.array([self.xmin, self.ymin, self.zmin])
-
-    @property
-    def maxs(self) -> np.ndarray:
-        return np.array([self.xmax, self.ymax, self.zmax])
 
     def contains_xy(self, x: float, y: float, margin: float = 0.0) -> bool:
         return (self.xmin - margin <= x <= self.xmax + margin
@@ -107,8 +98,8 @@ class SceneSpec(JsonDataclass):
         return list(self.obstacles) + [o.box for o in self.objects]
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f, indent=2, sort_keys=True)
+        """Write the canonical scene.json text, atomically."""
+        write_atomic(path, canonical_dumps(self.to_json()) + "\n")
 
 
 @dataclass(frozen=True)
@@ -278,48 +269,53 @@ def generate_scene(params: SceneParams, seed: int) -> SceneSpec:
 
 def render_frame(scene: SceneSpec, pose: Pose, K: CameraIntrinsics,
                  max_range: float = 10.0) -> FrameObservation:
-    """Nearest ray/box hit per pixel via the slab method, factored by column and row.
+    """Nearest ray/box hit per pixel by the slab method, box by box over its spans.
 
-    Requires zero camera pitch and roll and axis-aligned boxes: all pixels of a
-    column then share one horizontal ray direction and all pixels of a row one
-    vertical component, so the x/y slab test runs per column (W, M, 2) and the
-    z slab test per row (H, M). A pitched or rolled camera needs a per-pixel test.
+    Needs zero camera pitch and roll and axis-aligned boxes, so that a column
+    shares one horizontal ray direction and a row one vertical component: each
+    box's x/y slab interval is taken per column, its z interval per row. A box
+    is tested only on the rows and columns whose intervals can hold a hit (NaN
+    never culls), in index order, obstacles first, and takes a pixel only when
+    strictly nearer than the running nearest hit: a tie keeps the lower index.
     """
     H, W = K.height, K.width
     boxes = scene.all_solid_boxes()
-    depth = np.zeros((H, W))
     gt = np.full((H, W), NO_INSTANCE, dtype=np.int32)
     if not boxes:
-        return FrameObservation(pose=pose, depth=depth, gt_instance=gt)
+        return FrameObservation(pose=pose, depth=np.zeros((H, W)), gt_instance=gt)
+    depth = np.full((H, W), np.inf)   # the running nearest hit
 
     right, down, forward = pose.basis()
     us = (np.arange(W) + 0.0 - K.cx) / K.fx
     vs = (np.arange(H) + 0.0 - K.cy) / K.fy
-    lo = np.stack([b.mins for b in boxes]) - pose.position   # (M, 3)
-    hi = np.stack([b.maxs for b in boxes]) - pose.position
+    lo = np.array([(b.xmin, b.ymin, b.zmin) for b in boxes]) - pose.position  # (M, 3)
+    hi = np.array([(b.xmax, b.ymax, b.zmax) for b in boxes]) - pose.position
     with np.errstate(divide="ignore", invalid="ignore"):
         # direction us * right + vs * down + forward (t = planar depth): down
         # has no x/y part, right and forward no z part; inf on zero components
         inv_xy = 1.0 / (us[:, None] * right[:2] + forward[:2])   # (W, 2)
         inv_z = 1.0 / (vs * down[2] + forward[2])                 # (H,)
-        t1, t2 = lo[:, :2] * inv_xy[:, None], hi[:, :2] * inv_xy[:, None]
-        z1, z2 = lo[:, 2] * inv_z[:, None], hi[:, 2] * inv_z[:, None]
+        t1, t2 = lo[:, None, :2] * inv_xy, hi[:, None, :2] * inv_xy   # (M, W, 2)
+        z1, z2 = lo[:, 2:] * inv_z, hi[:, 2:] * inv_z                 # (M, H)
     # fmax/fmin skip NaN: 0 * inf when the origin lies on a slab plane
-    near_xy = np.fmax.reduce(np.minimum(t1, t2), axis=-1)         # (W, M)
+    near_xy = np.fmax.reduce(np.minimum(t1, t2), axis=-1)         # (M, W)
     far_xy = np.fmin.reduce(np.maximum(t1, t2), axis=-1)
-    tnear = np.fmax(near_xy[None], np.minimum(z1, z2)[:, None])   # (H, W, M)
-    tfar = np.fmin(far_xy[None], np.maximum(z1, z2)[:, None])
+    near_z, far_z = np.minimum(z1, z2), np.maximum(z1, z2)        # (M, H)
     eps = 1e-9
-    hit = (tfar >= tnear) & (tnear > eps) & (tnear <= max_range)
-    tnear = np.where(hit, tnear, np.inf)
-    best = np.argmin(tnear, axis=-1)                # (H, W)
-    tbest = np.take_along_axis(tnear, best[..., None], axis=-1)[..., 0]
-    valid = np.isfinite(tbest)
-    depth[valid] = tbest[valid]
-
+    cols = ~((far_xy < near_xy) | (far_xy <= eps) | (near_xy > max_range))
+    rows = ~((far_z < near_z) | (far_z <= eps) | (near_z > max_range))
     n_obstacles = len(scene.obstacles)
-    is_object = valid & (best >= n_obstacles)
-    gt[is_object] = (best[is_object] - n_obstacles).astype(np.int32)
+    for m in np.flatnonzero(cols.any(1) & rows.any(1)).tolist():
+        cs, rs = np.flatnonzero(cols[m]), np.flatnonzero(rows[m])
+        span = np.s_[rs[0]:rs[-1] + 1, cs[0]:cs[-1] + 1]
+        tnear = np.fmax(near_xy[m, span[1]], near_z[m, span[0], None])
+        tfar = np.fmin(far_xy[m, span[1]], far_z[m, span[0], None])
+        nearest = depth[span]
+        hit = (tfar >= tnear) & (tnear > eps) & (tnear <= max_range) & (tnear < nearest)
+        nearest[hit] = tnear[hit]
+        if m >= n_obstacles:   # every obstacle precedes every object
+            gt[span][hit] = m - n_obstacles
+    depth[depth == np.inf] = 0.0
     return FrameObservation(pose=pose, depth=depth, gt_instance=gt)
 
 

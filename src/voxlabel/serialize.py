@@ -1,5 +1,5 @@
 """Serialization helpers: the JSON codec of the config dataclasses,
-run-length encoding, canonical JSON, content hashes."""
+run-length encoding, canonical JSON, atomic writes, content hashes."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
+from pathlib import Path
 import typing
 
 import numpy as np
@@ -128,6 +130,16 @@ def rle_decode_bool(runs: list, shape: tuple) -> np.ndarray:
 def canonical_dumps(obj) -> str:
     """Deterministic JSON text: sorted keys, fixed separators."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def write_atomic(path, text: str):
+    """Write text to a temporary file next to path, then rename it over path."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def sha256_file(path) -> str:

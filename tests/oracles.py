@@ -37,6 +37,69 @@ def ray_march_depth(scene, pose, K, u, v, max_range=10.0, step=0.001):
     return 0.0, -1
 
 
+def _inv(x):
+    """1 / x with IEEE division by zero: a signed infinity."""
+    return 1.0 / x if x else math.copysign(math.inf, x)
+
+
+def _minimum(a, b):
+    """np.minimum of two floats: NaN if either is NaN."""
+    return math.nan if math.isnan(a) or math.isnan(b) else min(a, b)
+
+
+def _maximum(a, b):
+    return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
+
+
+def _fmax(a, b):
+    """np.fmax of two floats: the other operand when one is NaN."""
+    return b if math.isnan(a) else a if math.isnan(b) else max(a, b)
+
+
+def _fmin(a, b):
+    return b if math.isnan(a) else a if math.isnan(b) else min(a, b)
+
+
+def slab_render(scene, pose, K, max_range=10.0, eps=1e-9):
+    """(depth, gt_instance) images by a scalar slab test per pixel and box.
+
+    Each ray is (u - cx) / fx * right + (v - cy) / fy * down + forward, so t
+    is planar depth; per axis t1, t2 = (lo - origin) / d and (hi - origin) / d
+    via the reciprocal of d, as float64 scalars. The entry is the NaN-skipping
+    max of the per-axis minima (x, then y, then z), the exit the NaN-skipping
+    min of the maxima; a box is hit when exit >= entry, entry > eps and entry
+    <= max_range. Boxes are scanned obstacles first, then objects, and a hit
+    replaces the pixel's nearest only when strictly nearer, so an exact depth
+    tie keeps the lower index. depth 0.0 and gt -1 where nothing is hit.
+    """
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+    origin = (pose.x, pose.y, pose.camera_height)
+    boxes = [(b, -1) for b in scene.obstacles] + \
+            [(o.box, o.gt_id) for o in scene.objects]
+    depth = np.zeros((K.height, K.width))
+    gt = np.full((K.height, K.width), -1, dtype=np.int32)
+    for v in range(K.height):
+        dv = (v + 0.0 - K.cy) / K.fy
+        inv_z = _inv(dv * -1.0 + 0.0)
+        for u in range(K.width):
+            du = (u + 0.0 - K.cx) / K.fx
+            inv = (_inv(du * s + c), _inv(du * -c + s), inv_z)
+            best = math.inf
+            for box, gt_id in boxes:
+                lo = (box.xmin, box.ymin, box.zmin)
+                hi = (box.xmax, box.ymax, box.zmax)
+                t1 = [(lo[k] - origin[k]) * inv[k] for k in range(3)]
+                t2 = [(hi[k] - origin[k]) * inv[k] for k in range(3)]
+                near = _fmax(_fmax(_minimum(t1[0], t2[0]), _minimum(t1[1], t2[1])),
+                             _minimum(t1[2], t2[2]))
+                far = _fmin(_fmin(_maximum(t1[0], t2[0]), _maximum(t1[1], t2[1])),
+                            _maximum(t1[2], t2[2]))
+                if far >= near and near > eps and near <= max_range and near < best:
+                    best = near
+                    depth[v, u], gt[v, u] = near, gt_id
+    return depth, gt
+
+
 def project_homogeneous(p, K, pose):
     """world_to_pixel via explicit 4x4 extrinsics and 3x3 intrinsics matrices."""
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)

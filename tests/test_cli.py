@@ -4,6 +4,7 @@ import json
 import pytest
 
 from voxlabel.cli import build_parser, main
+from voxlabel.pipeline import RunConfig, run_pipeline
 from voxlabel.scene import SceneSpec
 
 
@@ -46,6 +47,14 @@ class TestMain:
         scene = SceneSpec.load(out)
         assert scene.objects
         assert str(out) in capsys.readouterr().out
+
+    def test_scene_gen_writes_the_pipeline_scene_json(self, tmp_path):
+        out = tmp_path / "gen" / "scene.json"
+        out.parent.mkdir()
+        assert main(["scene", "gen", "--seed", "4", "--out", str(out)]) == 0
+        run_pipeline(RunConfig(steps=2, scene_seed=4), tmp_path / "run")
+        assert out.read_bytes() == (tmp_path / "run" / "scene.json").read_bytes()
+        assert sorted(p.name for p in out.parent.iterdir()) == ["scene.json"]
 
     def test_pipeline_run_smoke(self, tmp_path, capsys):
         rc = main(["pipeline", "run", "--steps", "3", "--seed", "0",

@@ -10,7 +10,17 @@ from voxlabel.scene import (Box, CameraIntrinsics, ObjectInstance, Pose,
                             generate_scene, pixel_to_world, render_frame,
                             world_to_pixel)
 
-from oracles import project_homogeneous, ray_march_depth
+from oracles import project_homogeneous, ray_march_depth, slab_render
+
+EDGE_POSES = [   # (x, y, yaw, camera_height) in box_scene
+    (2.0, 4.0, 0.0, 1.25),
+    (2.0, 4.0, math.pi / 2, 1.25),
+    (2.0, 4.0, -math.pi / 2, 1.25),
+    (2.0, 4.0, -math.pi, 1.25),
+    (2.0, 4.0, 0.0, 1.8),    # on object 0's top face: (zmax - h) * inf is NaN
+    (2.0, 4.0, 0.0, 0.0),    # on the floor plane
+    (2.0, 3.5, 0.0, 1.25),   # on object 0's ymin face, principal column along it
+]
 
 
 class TestGenerateScene:
@@ -127,15 +137,7 @@ class TestRenderFrame:
             if d_ref > 0 and abs(frame.depth[v, u] - d_ref) < 1e-3:
                 assert frame.gt_instance[v, u] == gt_ref
 
-    @pytest.mark.parametrize("x, y, yaw, height", [
-        (2.0, 4.0, 0.0, 1.25),
-        (2.0, 4.0, math.pi / 2, 1.25),
-        (2.0, 4.0, -math.pi / 2, 1.25),
-        (2.0, 4.0, -math.pi, 1.25),
-        (2.0, 4.0, 0.0, 1.8),    # on object 0's top face: (zmax - h) * inf is NaN
-        (2.0, 4.0, 0.0, 0.0),    # on the floor plane
-        (2.0, 3.5, 0.0, 1.25),   # on object 0's ymin face, principal column along it
-    ])
+    @pytest.mark.parametrize("x, y, yaw, height", EDGE_POSES)
     def test_edge_poses_match_ray_march_oracle(self, cam_small, box_scene,
                                                x, y, yaw, height):
         pose = Pose(x=x, y=y, yaw=yaw, camera_height=height)
@@ -150,6 +152,41 @@ class TestRenderFrame:
             assert abs(frame.depth[v, u] - d_ref) <= 2e-3
             if d_ref > 0 and abs(frame.depth[v, u] - d_ref) < 1e-3:
                 assert frame.gt_instance[v, u] == gt_ref
+
+    @pytest.mark.parametrize("x, y, yaw, height, max_range", [
+        *((*pose, 10.0) for pose in EDGE_POSES),
+        (-1.5, 4.0, 0.0, 1.25, 10.0),   # outside the room, facing its wall
+        (3.5, 4.0, 0.3, 1.0, 10.0),     # inside object 0
+        (1.0, 4.0, 0.0, 2.5, 2.5),      # max_range cuts object 0's top face
+    ])
+    def test_matches_scalar_slab_oracle_bytes(self, cam_small, box_scene,
+                                              x, y, yaw, height, max_range):
+        pose = Pose(x=x, y=y, yaw=yaw, camera_height=height)
+        frame = render_frame(box_scene, pose, cam_small, max_range=max_range)
+        depth, gt = slab_render(box_scene, pose, cam_small, max_range=max_range)
+        assert frame.depth.tobytes() == depth.tobytes()
+        assert frame.gt_instance.tobytes() == gt.tobytes()
+        assert (frame.depth > 0).any() and frame.depth.max() <= max_range
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_equal_depth_tie_keeps_lower_index(self, cam_small, box_scene, first):
+        # both front faces lie in the plane x = 3, the small one inside the large
+        large, small = Box(3.0, 3.0, 0.0, 4.0, 5.0, 1.5), Box(3.0, 3.5, 0.0, 3.5, 4.5, 1.0)
+        pose = Pose(x=1.0, y=4.0, yaw=0.0, camera_height=1.25)
+
+        def scene_of(*boxes):
+            return SceneSpec(bounds=box_scene.bounds, obstacles=box_scene.obstacles,
+                             objects=tuple(ObjectInstance(i, 1, b)
+                                           for i, b in enumerate(boxes)))
+
+        scene = scene_of(large, small) if first == 0 else scene_of(small, large)
+        frame = render_frame(scene, pose, cam_small)
+        depth, gt = slab_render(scene, pose, cam_small)
+        assert frame.depth.tobytes() == depth.tobytes()
+        assert frame.gt_instance.tobytes() == gt.tobytes()
+        shared = render_frame(scene_of(small), pose, cam_small).gt_instance == 0
+        assert shared.any() and (frame.depth[shared] == 2.0).all()
+        assert (frame.gt_instance[shared] == 0).all()
 
     def test_depth_monotone_under_obstacle_removal(self, cam_small, box_scene):
         pose = Pose(x=1.0, y=4.0, yaw=0.1, camera_height=1.25)
