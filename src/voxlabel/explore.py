@@ -1,7 +1,7 @@
 """Embodied exploration: occupancy mapping, A* planning, and goal policies.
 
-Two non-learned policies are provided: random reachable goals, and greedy
-nearest-frontier exploration. Episodes are fully deterministic given a seed.
+Both goal policies (random reachable, nearest frontier) and A* search one
+passable byte grid. Episodes are fully deterministic given a seed.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import heapq
 import math
 
 import numpy as np
+from scipy import ndimage
 
 from .detector import DetectionSet, NoiseModel, simulate_detections
 from .scene import (CameraIntrinsics, FrameObservation, Pose, SceneSpec,
@@ -80,6 +81,15 @@ class Trajectory:
         return len(self.frames)
 
 
+def _mark(grid: OccupancyGrid, x, y, keep, value: int):
+    """Set the cells under the world points (x, y) where keep holds to value."""
+    cols = np.floor((x - grid.origin[0]) / grid.cell_size).astype(int)
+    rows = np.floor((y - grid.origin[1]) / grid.cell_size).astype(int)
+    ok = (keep & (rows >= 0) & (rows < grid.cells.shape[0])
+          & (cols >= 0) & (cols < grid.cells.shape[1]))
+    grid.cells[rows[ok], cols[ok]] = value
+
+
 def update_occupancy(grid: OccupancyGrid, frame: FrameObservation,
                      K: CameraIntrinsics, max_range: float = 10.0) -> OccupancyGrid:
     """Mark cells along each image column's nearest-return ray.
@@ -106,23 +116,10 @@ def update_occupancy(grid: OccupancyGrid, frame: FrameObservation,
     # no sample past the farthest return frees a cell; cutting in blocks of 40
     # keeps the (T, W) temporaries to a few sizes, which the allocator reuses
     ts = ts[:40 * math.ceil(np.searchsorted(ts, depths.max() - 1e-9) / 40)]
-    px = pose.x + ts[:, None] * dx[None, :]                 # (T, W)
-    py = pose.y + ts[:, None] * dy[None, :]
     before = ts[:, None] < (depths[None, :] - 1e-9)
-    cols = np.floor((px - grid.origin[0]) / grid.cell_size).astype(int)
-    rows = np.floor((py - grid.origin[1]) / grid.cell_size).astype(int)
-    valid = (before & (rows >= 0) & (rows < grid.cells.shape[0])
-             & (cols >= 0) & (cols < grid.cells.shape[1]))
-    grid.cells[rows[valid], cols[valid]] = FREE
-
+    _mark(grid, pose.x + ts[:, None] * dx, pose.y + ts[:, None] * dy, before, FREE)
     # occupied at the hit point itself
-    hx = pose.x + depths * dx
-    hy = pose.y + depths * dy
-    hc = np.floor((hx - grid.origin[0]) / grid.cell_size).astype(int)
-    hr = np.floor((hy - grid.origin[1]) / grid.cell_size).astype(int)
-    ok = (hit & (hr >= 0) & (hr < grid.cells.shape[0])
-          & (hc >= 0) & (hc < grid.cells.shape[1]))
-    grid.cells[hr[ok], hc[ok]] = OCCUPIED
+    _mark(grid, pose.x + depths * dx, pose.y + depths * dy, hit, OCCUPIED)
     return grid
 
 
@@ -132,8 +129,6 @@ def frontier_goals(grid: OccupancyGrid) -> list:
     A frontier cell is a free cell 4-adjacent to at least one unknown cell.
     The representative is the cluster centroid snapped to the nearest member.
     """
-    from scipy import ndimage
-
     free = grid.cells == FREE
     unknown = grid.cells == UNKNOWN
     adj_unknown = np.zeros_like(unknown)
@@ -158,6 +153,17 @@ def frontier_goals(grid: OccupancyGrid) -> list:
     return sorted(zip(rows[first].tolist(), cols[first].tolist()))
 
 
+def _passable(grid: OccupancyGrid, extra_blocked) -> bytearray:
+    """Free cells not in extra_blocked as a row-major byte grid with a closed
+    one-cell border: cell (r, c) is flat index (r + 1) * (cols + 2) + c + 1."""
+    passable = np.zeros(np.add(grid.cells.shape, 2), dtype=bool)
+    passable[1:-1, 1:-1] = grid.cells == FREE
+    for r, c in extra_blocked:
+        if grid.in_bounds((r, c)):
+            passable[r + 1, c + 1] = False
+    return bytearray(passable)
+
+
 def next_goal(policy: str, grid: OccupancyGrid, agent: AgentState,
               rng: np.random.Generator, extra_blocked=frozenset()):
     """Choose the next navigation goal cell, or None when exploration is done.
@@ -168,37 +174,29 @@ def next_goal(policy: str, grid: OccupancyGrid, agent: AgentState,
     representative with minimal path distance, ties by lowest (row, col).
     """
     start = grid.world_to_cell(agent.pose.x, agent.pose.y)
-    if not grid.in_bounds(start):
-        return None
-    passable = grid.cells == FREE
-    for cell in extra_blocked:
-        if grid.in_bounds(cell):
-            passable[cell] = False
-    if not passable[start]:
+    passable = _passable(grid, extra_blocked)
+    width = grid.cells.shape[1] + 2
+    s = (start[0] + 1) * width + start[1] + 1
+    if not (grid.in_bounds(start) and passable[s]):
         return None
     if policy == "random":
-        from scipy import ndimage
-        labels, _ = ndimage.label(passable)     # default structure: 4-connected
-        candidates = np.flatnonzero(labels == labels[start])
+        labels = ndimage.label(np.reshape(passable, (-1, width)))[0]  # 4-connected
+        candidates = np.flatnonzero(labels == labels.flat[s])
         idx = int(candidates[rng.integers(len(candidates))])
-        return divmod(idx, passable.shape[1])
+        return divmod(idx - width - 1, width)
     if policy == "frontier":
-        width = passable.shape[1] + 2
-        unseen = bytearray(np.pad(passable, 1).tobytes())  # closed border
-        goals = bytearray(len(unseen))
-        for r, c in frontier_goals(grid):
-            goals[(r + 1) * width + c + 1] = 1
-        level = [(start[0] + 1) * width + start[1] + 1]
-        unseen[level[0]] = 0
+        goals = {(r + 1) * width + c + 1 for r, c in frontier_goals(grid)}
+        level = [s]
+        passable[s] = 0     # cleared once seen
         while level:
-            hits = [i for i in level if goals[i]]
+            hits = goals.intersection(level)
             if hits:
                 return divmod(min(hits) - width - 1, width)
             nxt = []
             for i in level:
                 for j in (i - width, i + width, i - 1, i + 1):
-                    if unseen[j]:
-                        unseen[j] = 0
+                    if passable[j]:
+                        passable[j] = 0
                         nxt.append(j)
             level = nxt
         return None
@@ -209,46 +207,42 @@ def plan_path(grid: OccupancyGrid, start: tuple, goal: tuple,
               extra_blocked=frozenset()):
     """A* on 4-connected free cells, unit cost, Manhattan heuristic.
 
-    Unknown cells are untraversable. Ties broken by (f, h, row, col); the
-    returned path includes both endpoints. Returns None when unreachable.
+    Unknown and extra_blocked cells are untraversable. Ties broken by (f, h,
+    row, col); the path includes both endpoints. None when unreachable.
     """
-    if not grid.in_bounds(start) or grid.cells[start] != FREE or start in extra_blocked:
-        return None
-    if not grid.in_bounds(goal) or grid.cells[goal] != FREE or goal in extra_blocked:
+    passable = _passable(grid, extra_blocked)
+    width = grid.cells.shape[1] + 2
+    s, t = ((r + 1) * width + c + 1 for r, c in (start, goal))
+    if not (grid.in_bounds(start) and grid.in_bounds(goal)
+            and passable[s] and passable[t]):
         return None
 
-    def h(cell):
-        return abs(cell[0] - goal[0]) + abs(cell[1] - goal[1])
+    def h(i):
+        return abs(i // width - t // width) + abs(i % width - t % width)
 
-    rows, cols = grid.cells.shape
-    g = {start: 0}
-    parent = {start: None}
-    heap = [(h(start), h(start), start[0], start[1])]
-    closed = set()
+    # a flat index sorts as (row, col), so the heap key (f, h, index) breaks
+    # ties as (f, h, row, col); a cell is cleared from passable as it closes
+    g = {s: 0}
+    parent = {s: None}
+    heap = [(h(s), h(s), s)]
     while heap:
-        f, _, r, c = heapq.heappop(heap)
-        cur = (r, c)
-        if cur in closed:
+        i = heapq.heappop(heap)[2]
+        if not passable[i]:
             continue
-        closed.add(cur)
-        if cur == goal:
+        passable[i] = 0
+        if i == t:
             path = []
-            node = goal
-            while node is not None:
-                path.append(node)
-                node = parent[node]
+            while i is not None:
+                path.append(divmod(i - width - 1, width))
+                i = parent[i]
             return path[::-1]
-        for nxt in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if not (0 <= nxt[0] < rows and 0 <= nxt[1] < cols):
-                continue
-            if grid.cells[nxt] != FREE or nxt in extra_blocked or nxt in closed:
-                continue
-            ng = g[cur] + 1
-            if ng < g.get(nxt, math.inf):
-                g[nxt] = ng
-                parent[nxt] = cur
-                hv = h(nxt)
-                heapq.heappush(heap, (ng + hv, hv, nxt[0], nxt[1]))
+        ng = g[i] + 1
+        for j in (i - width, i + width, i - 1, i + 1):
+            if passable[j] and ng < g.get(j, math.inf):
+                g[j] = ng
+                parent[j] = i
+                hv = h(j)
+                heapq.heappush(heap, (ng + hv, hv, j))
     return None
 
 
@@ -299,40 +293,31 @@ def sample_start_pose(scene: SceneSpec, rng: np.random.Generator,
 
 
 class _Navigator:
-    """Tracks the active goal and converts the planned cell path into actions."""
+    """Converts the planned cell path into actions."""
 
     def __init__(self, grid: OccupancyGrid):
         self.grid = grid
-        self.goal = None
-        self.path = []
-        self.waypoint_idx = 0
+        self.path = []      # waypoints not yet reached
         self.blocked_cells: set = set()
 
-    def clear(self):
-        self.goal = None
-        self.path = []
-        self.waypoint_idx = 0
-
     def next_action(self, agent: AgentState) -> Action | None:
-        """Action toward the current waypoint, or None when the path is done."""
+        """Action toward the next waypoint, or None when the path is done."""
         pose = agent.pose
-        while self.waypoint_idx < len(self.path):
-            wx, wy = self.grid.cell_center(self.path[self.waypoint_idx])
-            if math.hypot(wx - pose.x, wy - pose.y) < 0.15:
-                self.waypoint_idx += 1
-                continue
-            break
-        if self.waypoint_idx >= len(self.path):
+        while self.path:
+            wx, wy = self.grid.cell_center(self.path[0])
+            if math.hypot(wx - pose.x, wy - pose.y) >= 0.15:
+                break
+            del self.path[0]
+        if not self.path:
             return None
         # steer at the farthest waypoint within one forward step
-        target_idx = self.waypoint_idx
-        for j in range(self.waypoint_idx, len(self.path)):
-            wx, wy = self.grid.cell_center(self.path[j])
-            if math.hypot(wx - pose.x, wy - pose.y) <= FORWARD_STEP + 0.05:
-                target_idx = j
-            else:
+        target = self.path[0]
+        for cell in self.path:
+            wx, wy = self.grid.cell_center(cell)
+            if math.hypot(wx - pose.x, wy - pose.y) > FORWARD_STEP + 0.05:
                 break
-        wx, wy = self.grid.cell_center(self.path[target_idx])
+            target = cell
+        wx, wy = self.grid.cell_center(target)
         bearing = math.atan2(wy - pose.y, wx - pose.x)
         err = normalize_angle(bearing - pose.yaw)
         if abs(err) > TURN_STEP * 0.75:
@@ -373,12 +358,10 @@ def run_episode(scene: SceneSpec, policy: str, noise: NoiseModel, n_steps: int,
             break
 
         action = None
-        for _ in range(3):  # goal selection, with one replan retry
-            if nav.goal is not None:
-                action = nav.next_action(agent)
-                if action is not None:
-                    break
-                nav.clear()  # goal reached
+        for _ in range(3):  # up to three goal choices per step
+            action = nav.next_action(agent)
+            if action is not None:
+                break
             blocked = frozenset(nav.blocked_cells)
             goal = next_goal(policy, grid, agent, goal_rng, extra_blocked=blocked)
             if goal is None and policy == "frontier":
@@ -387,14 +370,9 @@ def run_episode(scene: SceneSpec, policy: str, noise: NoiseModel, n_steps: int,
                 goal = next_goal("random", grid, agent, goal_rng, extra_blocked=blocked)
             if goal is None:
                 break
+            # the goal lies in the agent cell's component, so a path exists
             start = grid.world_to_cell(agent.pose.x, agent.pose.y)
-            path = plan_path(grid, start, goal, extra_blocked=blocked)
-            if path is None:
-                nav.clear()
-                continue
-            nav.goal = goal
-            nav.path = path
-            nav.waypoint_idx = 0
+            nav.path = plan_path(grid, start, goal, extra_blocked=blocked)
         if action is None:
             action = Action.TURN_LEFT  # exploration done or no plan: keep scanning
 
@@ -411,6 +389,6 @@ def run_episode(scene: SceneSpec, policy: str, noise: NoiseModel, n_steps: int,
                 agent.pose.y + (FORWARD_STEP / 2) * math.sin(agent.pose.yaw))
             if near != grid.world_to_cell(agent.pose.x, agent.pose.y):
                 nav.blocked_cells.add(near)
-            nav.clear()
+            nav.path = []
 
     return Trajectory(frames=frames, detections=dets), grid

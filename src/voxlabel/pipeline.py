@@ -113,11 +113,12 @@ def load_run(run_dir) -> tuple[RunConfig, SceneSpec, Trajectory]:
     """Read a run directory back as (config, scene, trajectory).
 
     config.json, scene.json and trajectory.jsonl must each match its sha256
-    in MANIFEST.json, else ValueError names the file. Frames are re-rendered
-    from the scene, the recorded poses and the run's camera.
+    in MANIFEST.json, else ValueError names the file, as it does for a
+    missing or malformed MANIFEST.json. Frames are re-rendered from the
+    scene, the recorded poses and the run's camera.
     """
     run = Path(run_dir)
-    hashes = json.loads((run / "MANIFEST.json").read_text())["files"]
+    hashes = _manifest_files(run)
     for name in ("config.json", "scene.json", "trajectory.jsonl"):
         path = run / name
         if not path.exists() or sha256_file(path) != hashes.get(name):
@@ -131,6 +132,21 @@ def load_run(run_dir) -> tuple[RunConfig, SceneSpec, Trajectory]:
                                    config.camera, max_range=config.max_range))
         detections.append(DetectionSet.from_json(record["detections"]))
     return config, scene, Trajectory(frames=frames, detections=detections)
+
+
+def _manifest_files(run: Path) -> dict:
+    """The name -> sha256 map of run/MANIFEST.json; ValueError names the file
+    when it is missing or is not a JSON object with a "files" object."""
+    path = run / "MANIFEST.json"
+    try:
+        files = json.loads(path.read_text())["files"]
+    except FileNotFoundError:
+        raise ValueError(f"{path} is missing") from None
+    except (ValueError, KeyError, TypeError):   # JSONDecodeError is a ValueError
+        files = None
+    if not isinstance(files, dict):
+        raise ValueError(f'{path} is not a JSON object with a "files" object')
+    return files
 
 
 def build_scene(config: RunConfig) -> SceneSpec:
@@ -274,12 +290,10 @@ def _remove_stale(out: Path, keep: tuple):
 
     Only plain names directly inside out are deleted: no separator, no "..".
     train_report.json goes unless kept, listed or not: a MANIFEST left by
-    an interrupted run lists only the files that run had written.
+    an interrupted run lists only the files that run had written. A
+    directory with no MANIFEST lists nothing.
     """
-    try:
-        listed = json.loads((out / "MANIFEST.json").read_text())["files"]
-    except FileNotFoundError:
-        listed = {}
+    listed = _manifest_files(out) if (out / "MANIFEST.json").exists() else {}
     for name in {*listed, "train_report.json"} - set(keep):
         if name not in ("", "..") and Path(name).name == name:
             (out / name).unlink(missing_ok=True)

@@ -142,6 +142,51 @@ def bfs_path_cost(cells_free, start, goal):
     return None
 
 
+def astar_path(cells_free, start, goal, extra_blocked=frozenset()):
+    """A* over (row, col) tuples, by the textbook recipe.
+
+    4-connected unit-cost moves between free cells that are in bounds and
+    not in extra_blocked; Manhattan heuristic; the heap key is (f, h, row,
+    col), and a cell's parent is the last expansion that lowered its cost.
+    Returns the path with both endpoints, or None when either endpoint is
+    unusable or the goal is unreachable.
+    """
+    import heapq
+    rows, cols = cells_free.shape
+    start = (int(start[0]), int(start[1]))
+    goal = (int(goal[0]), int(goal[1]))
+
+    def usable(cell):
+        return (0 <= cell[0] < rows and 0 <= cell[1] < cols
+                and bool(cells_free[cell]) and cell not in extra_blocked)
+
+    def h(cell):
+        return abs(cell[0] - goal[0]) + abs(cell[1] - goal[1])
+
+    if not usable(start) or not usable(goal):
+        return None
+    g = {start: 0}
+    parent = {start: None}
+    closed = set()
+    heap = [(h(start), h(start), start[0], start[1])]
+    while heap:
+        _, _, r, c = heapq.heappop(heap)
+        if (r, c) in closed:
+            continue
+        closed.add((r, c))
+        if (r, c) == goal:
+            path = [goal]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        for nxt in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if usable(nxt) and nxt not in closed and g[r, c] + 1 < g.get(nxt, math.inf):
+                g[nxt] = g[r, c] + 1
+                parent[nxt] = (r, c)
+                heapq.heappush(heap, (g[nxt] + h(nxt), h(nxt), nxt[0], nxt[1]))
+    return None
+
+
 def occupancy_by_column_march(cells, frame, K, cell_size, origin,
                               max_range=10.0, free=1, occupied=2):
     """Occupancy update by a python march per image column.

@@ -14,7 +14,7 @@ from voxlabel.scene import (Box, CameraIntrinsics, FrameObservation, Pose, Scene
                             generate_scene, render_frame)
 from voxlabel.serialize import derive_seed
 
-from oracles import (bfs_path_cost, frontier_scan, next_goal_by_bfs,
+from oracles import (astar_path, bfs_path_cost, frontier_scan, next_goal_by_bfs,
                      occupancy_by_column_march)
 
 
@@ -257,6 +257,32 @@ class TestPlanPath:
                 checked += 1
         assert checked > 20
 
+    def test_random_mazes_match_tuple_astar_exactly(self):
+        # open mazes have many shortest paths, so this pins the tie-break
+        rng = np.random.default_rng(9)
+        found = 0
+        for trial in range(300):
+            rows, cols = (int(n) for n in rng.integers(1, 20, size=2))
+            cells = rng.choice([UNKNOWN, FREE, OCCUPIED], size=(rows, cols),
+                               p=[0.1, 0.75, 0.15]).astype(np.uint8)
+            grid = OccupancyGrid(cell_size=0.1, cells=cells, origin=(0.0, 0.0))
+            free = [tuple(int(i) for i in cell) for cell in np.argwhere(cells == FREE)]
+
+            def cell():
+                # mostly a free cell, else any cell, out of bounds included
+                if free and rng.random() < 0.85:
+                    return free[rng.integers(len(free))]
+                return (int(rng.integers(-2, rows + 2)), int(rng.integers(-2, cols + 2)))
+
+            start, goal = cell(), cell()
+            blocked = {cell() for _ in range(rng.integers(0, 8))}
+            blocked |= {c for c in (start, goal) if rng.random() < 0.1}
+            blocked = frozenset(blocked)
+            want = astar_path(cells == FREE, start, goal, blocked)
+            assert plan_path(grid, start, goal, extra_blocked=blocked) == want, trial
+            found += want is not None and len(want) > 2
+        assert found > 100, found
+
 
 class TestStepAgent:
     def test_turn_left(self, box_scene):
@@ -322,6 +348,26 @@ class TestRunEpisode:
                 p = frame.pose
                 for box in scene.all_solid_boxes():
                     assert not box.contains_xy(p.x, p.y, margin=0.14)
+
+    def test_every_goal_gets_a_path(self, cam, monkeypatch):
+        # next_goal returns only cells in the agent cell's component, over the
+        # same passable grid plan_path searches, so no plan comes back None
+        from voxlabel import explore
+        calls = []
+
+        def recording(grid, start, goal, extra_blocked=frozenset()):
+            path = plan_path(grid, start, goal, extra_blocked)
+            calls.append((extra_blocked, path))
+            return path
+
+        monkeypatch.setattr(explore, "plan_path", recording)
+        for policy in ("frontier", "random"):
+            for seed in range(4):
+                run_episode(generate_scene(SMALL_PARAMS, seed=seed), policy,
+                            NoiseModel.noiseless(), 120, cam, seed=seed)
+        assert all(path is not None for _, path in calls)
+        # collisions fed the planner's blocked set on most of these calls
+        assert sum(bool(blocked) for blocked, _ in calls) > 50, len(calls)
 
     def test_frontier_coverage_empty_room(self, cam):
         # empty-interior room: frontier exploration should see nearly all of it

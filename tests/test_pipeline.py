@@ -34,6 +34,10 @@ EXPECTED_FILES = ["config.json", "scene.json", "trajectory.jsonl",
                   "pseudo_dataset.json", "eval.json", "MANIFEST.json"]
 
 
+# not JSON, an object without "files", not an object
+MALFORMED_MANIFESTS = ["{", '{"status": "ok"}', "[]"]
+
+
 class TestRunPipeline:
     def test_single_step_writes_all_artifacts(self, tmp_path):
         config = small_config(steps=1)
@@ -138,6 +142,23 @@ class TestRunPipeline:
         assert not (run / "stale.txt").exists()
 
 
+    @pytest.mark.parametrize("text", MALFORMED_MANIFESTS)
+    def test_malformed_manifest_stops_a_rerun(self, tmp_path, text):
+        (tmp_path / "MANIFEST.json").write_text(text)
+        (tmp_path / "train_report.json").write_text("x")
+        with pytest.raises(ValueError, match="MANIFEST.json"):
+            run_pipeline(small_config(steps=1), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["MANIFEST.json", "train_report.json"]
+        assert (tmp_path / "MANIFEST.json").read_text() == text
+
+    def test_directory_without_manifest_lists_nothing(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("x")
+        assert run_pipeline(small_config(steps=1), tmp_path)["status"] == "ok"
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == sorted(EXPECTED_FILES + ["notes.txt"])
+
+
 def record_episodes(monkeypatch) -> list:
     """Collect every trajectory run_pipeline serializes."""
     recorded = []
@@ -186,6 +207,20 @@ class TestLoadRun:
             load_run(tmp_path)
         path.unlink()
         with pytest.raises(ValueError, match=name):
+            load_run(tmp_path)
+
+
+    @pytest.mark.parametrize("text", MALFORMED_MANIFESTS)
+    def test_malformed_manifest_rejected(self, tmp_path, text):
+        run_pipeline(small_config(steps=1), tmp_path)
+        (tmp_path / "MANIFEST.json").write_text(text)
+        with pytest.raises(ValueError, match="MANIFEST.json"):
+            load_run(tmp_path)
+
+    def test_missing_manifest_rejected(self, tmp_path):
+        run_pipeline(small_config(steps=1), tmp_path)
+        (tmp_path / "MANIFEST.json").unlink()
+        with pytest.raises(ValueError, match="MANIFEST.json is missing"):
             load_run(tmp_path)
 
 
