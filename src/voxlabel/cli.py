@@ -12,10 +12,7 @@ import json
 import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
-from .detector import NoiseModel
-from .losses import TrainConfig
 from .pipeline import RunConfig, run_grid, run_pipeline
 from .scene import SceneParams, SceneSpec, generate_scene
 

@@ -209,9 +209,9 @@ def consistent_logits(instance: InstanceRecord,
                       vmap: SemanticVoxelMap) -> np.ndarray:
     """Mean softmax over the instance's contributing detections.
 
-    A detection (frame, det) votes once regardless of how many of the
-    instance's voxels it touched; votes are summed in ascending observation
-    id order. The result is stored on the instance.
+    Each observation is one detection: it votes once, however many of the
+    instance's voxels it touched, and votes are averaged in ascending
+    observation id order. The result is stored on the instance.
     """
     if not vmap.resolved:
         raise ValueError("map must be resolved before consistent logits")
@@ -220,11 +220,10 @@ def consistent_logits(instance: InstanceRecord,
     counts = np.searchsorted(vmap._pair_key, packed, side="right") - lo
     rows = np.repeat(lo - np.cumsum(counts) + counts, counts) \
         + np.arange(counts.sum())
-    obs = [vmap.observations[i] for i in np.unique(vmap._pair_obs[rows]).tolist()]
-    votes = {(o.frame_index, o.det_index): o.logits for o in obs}
-    if not votes:
+    ids = np.unique(vmap._pair_obs[rows]).tolist()
+    if not ids:
         raise RuntimeError("instance with no contributing detections")
-    lam = np.stack([softmax(logits) for logits in votes.values()]).mean(axis=0)
+    lam = softmax(np.stack([vmap.observations[i].logits for i in ids])).mean(axis=0)
     instance.consistent_logits = lam
     return lam
 

@@ -167,14 +167,14 @@ def evaluate_pseudo_labels(dataset_or_dets, trajectory, scene: SceneSpec,
     present = [a for a in per_class_ap if a is not None]
     map50 = float(np.mean(present)) if present else 0.0
 
-    stats = raw_consistency_stats(trajectory, scene)
+    stats = raw_consistency_stats(trajectory)
     if isinstance(dataset_or_dets, PseudoDataset):
         stats["disagreement_after_consensus"] = pseudo_disagreement(dataset_or_dets)
     return EvalReport(per_class_ap=per_class_ap, map50=map50, counts=counts,
                       consistency_stats=stats)
 
 
-def raw_consistency_stats(trajectory, scene: SceneSpec) -> dict:
+def raw_consistency_stats(trajectory) -> dict:
     """Fraction of detected gt instances with non-unanimous raw classes."""
     classes_by_gt: dict = {}
     for det_set in trajectory.detections:

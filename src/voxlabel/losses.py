@@ -39,7 +39,8 @@ def triplet_loss(features: np.ndarray, uids, margin: float = 0.3) -> LossValue:
     arXiv:1703.07737). Returns 0 with zero gradients when no triplet is
     active. Gradient w.r.t. features under key "features"; subgradient 0 is
     used at zero distances and inactive triplets. Memory is O(k^2 + active
-    triplets): each anchor's (positives x negatives) block is built alone.
+    triplets): distances are built a block of anchors at a time, each
+    anchor's (positives x negatives) block alone.
     """
     f = np.asarray(features, dtype=float)
     _check_finite(f, "invalid features")
@@ -49,8 +50,11 @@ def triplet_loss(features: np.ndarray, uids, margin: float = 0.3) -> LossValue:
     if k < 2:
         return LossValue(0.0, {"features": grads})
 
-    diff = f[:, None, :] - f[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    dist = np.empty((k, k))
+    rows = max(1, 2**16 // max(f.size, 1))   # anchors per 2**16 differences
+    for lo in range(0, k, rows):
+        diff = f[lo:lo + rows, None, :] - f[None, :, :]
+        dist[lo:lo + rows] = np.sqrt(np.sum(diff * diff, axis=-1))
     same = uids[:, None] == uids[None, :]
 
     # active entries of each anchor's block, concatenated in (a, p, n) order
@@ -73,9 +77,9 @@ def triplet_loss(features: np.ndarray, uids, margin: float = 0.3) -> LossValue:
 
     with np.errstate(invalid="ignore", divide="ignore"):
         u_ap = np.where(dist[A, P][:, None] > 0,
-                        diff[A, P] / np.maximum(dist[A, P][:, None], 1e-300), 0.0)
+                        (f[A] - f[P]) / np.maximum(dist[A, P][:, None], 1e-300), 0.0)
         u_an = np.where(dist[A, N][:, None] > 0,
-                        diff[A, N] / np.maximum(dist[A, N][:, None], 1e-300), 0.0)
+                        (f[A] - f[N]) / np.maximum(dist[A, N][:, None], 1e-300), 0.0)
     np.add.at(grads, A, (u_ap - u_an) / n_active)
     np.add.at(grads, P, -u_ap / n_active)
     np.add.at(grads, N, u_an / n_active)
@@ -177,41 +181,45 @@ def detection_loss(im: LossValue, distill: LossValue, head: LossValue,
     return LossValue(float(value), grads)
 
 
+# Fixed settings of the toy head's reference recipe; TrainConfig holds the rest.
+_WEIGHT_DECAY = 1e-5
+_MOMENTUM = 0.9
+_EMBED_DIM = 32
+_FEATURE_SCALE = 1.0            # std of the class centres
+_INSTANCE_OFFSET_SCALE = 0.3    # std of each instance's offset from its centre
+_HOLDOUT_FRACTION = 0.2
+
+
 @dataclass(frozen=True)
 class TrainConfig(JsonDataclass):
-    """Toy-head training settings, defaults the reference recipe; a JsonDataclass."""
+    """Toy-head training settings a run may vary, defaults the reference
+    recipe; the recipe's other settings are the constants above."""
 
     lr: float = 1e-4
     epochs: int = 10
-    weight_decay: float = 1e-5
-    momentum: float = 0.9
     batch_size: int = 16
     alpha: float = 0.7
     margin: float = 0.3
     feature_dim: int = 1024
-    embed_dim: int = 32
-    feature_scale: float = 1.0
-    instance_offset_scale: float = 0.3
     feature_noise: float = 0.2
     label_flip_prob: float = 0.0
-    holdout_fraction: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
-        self._require("at least 1", "batch_size", "feature_dim", "embed_dim")
+        self._require("at least 1", "batch_size", "feature_dim")
         self._require("non-negative", "epochs", "lr", "alpha")
-        self._require("in [0, 1]", "holdout_fraction", "label_flip_prob")
+        self._require("in [0, 1]", "label_flip_prob")
 
 
 def _make_examples(dataset, K, config: TrainConfig, rng: np.random.Generator):
     """Synthesize per-pseudo-label features: class cluster + instance offset."""
     d = config.feature_dim
-    class_centers = rng.normal(0.0, config.feature_scale, (NUM_CLASSES, d))
+    class_centers = rng.normal(0.0, _FEATURE_SCALE, (NUM_CLASSES, d))
     offsets: dict = {}
     feats, uids, classes, lambdas, boxes = [], [], [], [], []
     for _, lab in dataset.all_labels():
         if lab.uid not in offsets:
-            offsets[lab.uid] = rng.normal(0.0, config.instance_offset_scale, d)
+            offsets[lab.uid] = rng.normal(0.0, _INSTANCE_OFFSET_SCALE, d)
         noise = rng.normal(0.0, config.feature_noise, d)
         feats.append(class_centers[lab.class_id] + offsets[lab.uid] + noise)
         uids.append(lab.uid)
@@ -248,21 +256,21 @@ def toy_finetune(dataset, K, config: TrainConfig) -> dict:
                                                     int(flip.sum()))) % NUM_CLASSES
 
     perm = rng.permutation(n)
-    n_hold = max(1, int(round(n * config.holdout_fraction))) if n > 1 else 0
+    n_hold = max(1, int(round(n * _HOLDOUT_FRACTION))) if n > 1 else 0
     hold_idx = perm[:n_hold]
     train_idx = perm[n_hold:]
     if train_idx.size == 0:
         train_idx = perm
         hold_idx = perm
 
-    d, e = config.feature_dim, config.embed_dim
+    d = config.feature_dim
     scale = 1.0 / np.sqrt(d)
     params = {
         "W_cls": rng.normal(0, scale, (NUM_CLASSES, d)),
         "b_cls": np.zeros(NUM_CLASSES),
         "W_box": rng.normal(0, scale, (4, d)),
         "b_box": np.zeros(4),
-        "W_emb": rng.normal(0, scale, (e, d)),
+        "W_emb": rng.normal(0, scale, (_EMBED_DIM, d)),
     }
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
 
@@ -288,8 +296,8 @@ def toy_finetune(dataset, K, config: TrainConfig) -> dict:
             "W_emb": g_emb.T @ F,
         }
         for k in params:
-            g = grads[k] + config.weight_decay * params[k]
-            velocity[k] = config.momentum * velocity[k] - config.lr * g
+            g = grads[k] + _WEIGHT_DECAY * params[k]
+            velocity[k] = _MOMENTUM * velocity[k] - config.lr * g
             params[k] += velocity[k]
 
     per_epoch = []

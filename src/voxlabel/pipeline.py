@@ -38,8 +38,10 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class RunConfig(JsonDataclass):
-    """Everything a run reads. config.json is its JsonDataclass to_json, and
-    config_hash hashes that file's canonical text."""
+    """The settings of a run. config.json is its JsonDataclass to_json, and
+    config_hash hashes that file's canonical text. Camera height, sensing
+    range, occupancy cell size and occlusion tolerance are the defaults of
+    run_episode, render_frame and project_instance_masks."""
 
     scene_file: str | None = None
     scene_params: SceneParams = field(default_factory=SceneParams)
@@ -48,24 +50,17 @@ class RunConfig(JsonDataclass):
     steps: int = 500
     noise: NoiseModel = field(default_factory=NoiseModel)
     camera: CameraIntrinsics = field(default_factory=CameraIntrinsics.default)
-    camera_height: float = 1.25
-    max_range: float = 10.0
-    cell_size: float = 0.1
     voxel_size: float = DEFAULT_VOXEL_SIZE
     min_instance_voxels: int = DEFAULT_MIN_INSTANCE_VOXELS
-    occlusion_tolerance: float | None = None
     alpha: float = 0.7
     train: bool = False
     train_config: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
 
     def __post_init__(self):
-        self._require("positive", "max_range", "cell_size", "voxel_size",
-                      "camera_height")
+        self._require("positive", "voxel_size")
         self._require("at least 1", "steps", "min_instance_voxels")
         self._require("non-negative", "alpha")
-        if self.occlusion_tolerance is not None:
-            self._require("non-negative", "occlusion_tolerance")
         if self.policy not in ("frontier", "random"):
             raise ValueError("policy must be 'frontier' or 'random', "
                              f"got {self.policy!r}")
@@ -129,7 +124,7 @@ def load_run(run_dir) -> tuple[RunConfig, SceneSpec, Trajectory]:
     for line in (run / "trajectory.jsonl").read_text().splitlines():
         record = json.loads(line)
         frames.append(render_frame(scene, Pose.from_json(record["pose"]),
-                                   config.camera, max_range=config.max_range))
+                                   config.camera))
         detections.append(DetectionSet.from_json(record["detections"]))
     return config, scene, Trajectory(frames=frames, detections=detections)
 
@@ -248,15 +243,12 @@ def _upstream(config: RunConfig):
         stage = "explore"
         trajectory = run_episode(
             scene, config.policy, config.noise, config.steps, config.camera,
-            seed=derive_seed(config.seed, "episode"),
-            cell_size=config.cell_size, camera_height=config.camera_height,
-            max_range=config.max_range)[0]
+            seed=derive_seed(config.seed, "episode"))[0]
         files.append((stage, "trajectory.jsonl", trajectory_to_jsonl(trajectory)))
 
         stage = "labels"
         dataset = build_pseudo_dataset(
-            trajectory, build_labels(trajectory, config), config.camera,
-            occlusion_tolerance=config.occlusion_tolerance)
+            trajectory, build_labels(trajectory, config), config.camera)
         files.append((stage, "pseudo_dataset.json",
                       _coco_text(dataset, config.camera)))
 

@@ -100,16 +100,15 @@ def project_instance_masks(vmap: SemanticVoxelMap, frame: FrameObservation,
     return labels
 
 
-def build_pseudo_dataset(trajectory, vmap: SemanticVoxelMap, K: CameraIntrinsics,
-                         occlusion_tolerance: float | None = None) -> PseudoDataset:
+def build_pseudo_dataset(trajectory, vmap: SemanticVoxelMap,
+                         K: CameraIntrinsics) -> PseudoDataset:
     """Project every instance onto every frame of the trajectory.
 
     Frames keep empty lists when nothing projects; an instance appears in
     every frame where it passes the depth test, including frames whose
     detector output missed it.
     """
-    frames = [project_instance_masks(vmap, frame, K,
-                                     occlusion_tolerance=occlusion_tolerance)
+    frames = [project_instance_masks(vmap, frame, K)
               for frame in trajectory.frames]
     return PseudoDataset(frames=frames)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,20 @@ class TestTripletLoss:
         out = triplet_loss(f, [0, 0, 0, 1, 1, 1], margin=0.3)
         assert out.value == 0.0
         assert np.allclose(out.grads["features"], 0.0)
+
+    def test_memory_is_not_cubic(self):
+        # a (k, k, d) difference tensor alone would be 23 MB
+        rng = np.random.default_rng(2)
+        uids = np.repeat(np.arange(10), 30)
+        f = uids[:, None] * 10.0 + rng.normal(0, 0.01, (300, 32))
+        tracemalloc.start()
+        try:
+            out = triplet_loss(f, uids, margin=0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.value == 0.0
+        assert peak < 8e6
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)

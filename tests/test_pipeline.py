@@ -190,8 +190,7 @@ class TestLoadRun:
             == [d.to_json() for d in episode.detections]
 
         dataset = build_pseudo_dataset(
-            trajectory, build_labels(trajectory, loaded), loaded.camera,
-            occlusion_tolerance=loaded.occlusion_tolerance)
+            trajectory, build_labels(trajectory, loaded), loaded.camera)
         coco = pipeline._round_floats(dataset_to_coco(dataset, loaded.camera))
         assert coco["annotations"]
         assert canonical_dumps(coco) + "\n" \
@@ -259,8 +258,7 @@ class TestRunConfig:
         config = small_config(alpha=0.3, policy="random", train=True)
         assert RunConfig.from_json(config.to_json()) == config
         for config in (config, RunConfig(), GRID_BASE,
-                       small_config(scene_file="s.json", scene_seed=4,
-                                    occlusion_tolerance=0.1)):
+                       small_config(scene_file="s.json", scene_seed=4)):
             text = canonical_dumps(config.to_json())
             back = RunConfig.from_json(json.loads(text))
             assert back == config
@@ -268,8 +266,8 @@ class TestRunConfig:
 
     def test_pinned_hashes(self):
         # config.json text, and so every run directory's key, is unchanged
-        assert config_hash(RunConfig()) == "c9ebf98d45970e4b"
-        assert config_hash(GRID_BASE) == "ee3bdd2e3587734e"
+        assert config_hash(RunConfig()) == "178bf141de65ebfa"
+        assert config_hash(GRID_BASE) == "0f501d6d47fdd31e"
 
     def test_int_for_float_field_reads_as_float(self):
         config = RunConfig.from_json({"alpha": 1})
@@ -291,6 +289,9 @@ class TestRunConfig:
          r"noise.confusion\[5\]\[5\]"),
         ({"train_config": 1}, "train_config"),
         ({"scene_file": 3}, "scene_file"),
+        # a config.json with fields that are now constants, first in key order
+        ({**RunConfig().to_json(), "max_range": 10.0, "camera_height": 1.25},
+         "camera_height"),
     ])
     def test_from_json_rejects_bad_field(self, data, field):
         # unknown keys at every level, a missing required field, wrong types
@@ -301,8 +302,8 @@ class TestRunConfig:
         ({"noise": {"min_pixels": 0}}, "noise.min_pixels must be at least 1, got 0"),
         ({"camera": {**RunConfig().camera.to_json(), "fx": -1.0}},
          "camera.fx must be positive, got -1.0"),
-        ({"train_config": {"holdout_fraction": 2.0}},
-         r"train_config.holdout_fraction must be in \[0, 1\], got 2.0"),
+        ({"train_config": {"label_flip_prob": 2.0}},
+         r"train_config.label_flip_prob must be in \[0, 1\], got 2.0"),
         ({"steps": 0}, "steps must be at least 1, got 0"),
         # run_pipeline trains at the run's alpha and a seed derived from its seed
         ({"train_config": {"alpha": 0.1}}, "train_config.alpha must be 0.7"),
@@ -326,8 +327,7 @@ class TestRunConfig:
         assert config_hash(a) != config_hash(replace(a, alpha=0.1))
 
     @pytest.mark.parametrize("value", [0.0, -0.05])
-    @pytest.mark.parametrize("name", ["max_range", "cell_size", "voxel_size",
-                                      "camera_height"])
+    @pytest.mark.parametrize("name", ["voxel_size"])
     def test_rejects_non_positive_geometry(self, name, value):
         with pytest.raises(ValueError, match=name):
             small_config(**{name: value})
@@ -340,14 +340,13 @@ class TestRunConfig:
             small_config(**{name: value})
 
     @pytest.mark.parametrize("name, value", [
-        ("batch_size", 0), ("epochs", -1), ("holdout_fraction", -0.1),
-        ("holdout_fraction", 1.5), ("feature_dim", 0), ("embed_dim", 0),
+        ("batch_size", 0), ("epochs", -1), ("feature_dim", 0),
         ("label_flip_prob", 2.0), ("lr", -1), ("alpha", -1)])
     def test_rejects_out_of_range_train_settings(self, name, value):
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})
 
-    @pytest.mark.parametrize("name", ["alpha", "occlusion_tolerance"])
+    @pytest.mark.parametrize("name", ["alpha"])
     def test_rejects_negative_weights(self, name):
         with pytest.raises(ValueError, match=name):
             small_config(**{name: -0.1})
