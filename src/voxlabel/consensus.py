@@ -55,8 +55,6 @@ class Observation(NamedTuple):
     keys: np.ndarray        # sorted unique packed voxel keys
     logits: np.ndarray
     score: float
-    frame_index: int
-    det_index: int
 
 
 @dataclass
@@ -91,14 +89,13 @@ class SemanticVoxelMap:
         # (packed key, obs id) of every observation, sorted as in resolution
         self._pair_key = self._pair_obs = np.zeros(0, dtype=np.int64)
 
-    def add_observation(self, keys, logits, score: float, frame_index: int,
-                        det_index: int) -> int:
+    def add_observation(self, keys, logits, score: float) -> int:
         """Record one detection covering the (n, 3) voxel keys; returns its id."""
         if self.resolved:
             raise ValueError("cannot accumulate into a resolved map")
         self.observations.append(Observation(
             np.unique(_pack(keys)), np.asarray(logits, dtype=float),
-            float(score), frame_index, det_index))
+            float(score)))
         return len(self.observations) - 1
 
 
@@ -111,7 +108,7 @@ def accumulate_frame(vmap: SemanticVoxelMap, frame: FrameObservation,
     """
     if vmap.resolved:
         raise ValueError("cannot accumulate into a resolved map")
-    for det_index, det in enumerate(dets.detections):
+    for det in dets.detections:
         vs, us = np.nonzero(det.mask)
         d = frame.depth[vs, us]
         valid = d > 0
@@ -119,7 +116,7 @@ def accumulate_frame(vmap: SemanticVoxelMap, frame: FrameObservation,
             continue
         pts = pixel_to_world(us[valid], vs[valid], d[valid], K, frame.pose)
         vmap.add_observation(np.floor(pts / vmap.voxel_size).astype(np.int64),
-                             det.logits, det.score, dets.frame_index, det_index)
+                             det.logits, det.score)
     return vmap
 
 
@@ -147,8 +144,8 @@ def resolve_voxels(vmap: SemanticVoxelMap) -> SemanticVoxelMap:
     return vmap
 
 
-def _lowest_index_components(n: int, src: np.ndarray,
-                             dst: np.ndarray) -> np.ndarray:
+def lowest_index_components(n: int, src: np.ndarray,
+                            dst: np.ndarray) -> np.ndarray:
     """Label each node 0..n-1 with the lowest node index of its component.
 
     Each round hooks the larger root of every edge between two trees under
@@ -187,7 +184,7 @@ def extract_instances(vmap: SemanticVoxelMap,
         src.append(hit)
         dst.append(j[hit])
     # keys are sorted, so a component's lowest index is its minimal key
-    root = _lowest_index_components(n, np.concatenate(src), np.concatenate(dst))
+    root = lowest_index_components(n, np.concatenate(src), np.concatenate(dst))
     sizes = np.bincount(root, minlength=n)
     keep = (root == np.arange(n)) & (sizes >= min_instance_voxels)
     vmap.voxel_instance = np.where(keep, np.cumsum(keep) - 1, -1)[root]

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .scene import NUM_CLASSES, FrameObservation, SceneSpec
 from .serialize import JsonDataclass
@@ -136,13 +135,15 @@ def mask_bbox(mask: np.ndarray) -> tuple:
 
 
 def _jitter_mask(mask: np.ndarray, radius: int, rng: np.random.Generator) -> np.ndarray:
-    """Random dilation (radius > 0) or erosion (radius < 0) of up to |radius| px."""
+    """Random dilation (r > 0) or erosion (r < 0) by |r| <= radius px: |r|
+    rounds that OR or AND each pixel with its four neighbours, False outside."""
     r = int(rng.integers(-radius, radius + 1)) if radius > 0 else 0
-    if r == 0:
-        return mask
-    if r > 0:
-        return ndimage.binary_dilation(mask, iterations=r)
-    return ndimage.binary_erosion(mask, iterations=-r)
+    op = np.logical_or if r > 0 else np.logical_and
+    for _ in range(abs(r)):
+        p = np.pad(mask, 1)
+        mask = op.reduce([p[1:-1, 1:-1], p[:-2, 1:-1], p[2:, 1:-1],
+                          p[1:-1, :-2], p[1:-1, 2:]])
+    return mask
 
 
 def simulate_detections(frame: FrameObservation, scene: SceneSpec,

@@ -12,8 +12,8 @@ import heapq
 import math
 
 import numpy as np
-from scipy import ndimage
 
+from .consensus import lowest_index_components
 from .detector import DetectionSet, NoiseModel, simulate_detections
 from .scene import (CameraIntrinsics, FrameObservation, Pose, SceneSpec,
                     normalize_angle, render_frame)
@@ -127,7 +127,8 @@ def frontier_goals(grid: OccupancyGrid) -> list:
     """Representative cell per 8-connected cluster of frontier cells.
 
     A frontier cell is a free cell 4-adjacent to at least one unknown cell.
-    The representative is the cluster centroid snapped to the nearest member.
+    The representative is the cluster centroid snapped to the nearest member,
+    ties by lowest (row, col); sorted, so cluster numbering does not matter.
     """
     free = grid.cells == FREE
     unknown = grid.cells == UNKNOWN
@@ -136,12 +137,14 @@ def frontier_goals(grid: OccupancyGrid) -> list:
     adj_unknown[:-1, :] |= unknown[1:, :]
     adj_unknown[:, 1:] |= unknown[:, :-1]
     adj_unknown[:, :-1] |= unknown[:, 1:]
-    frontier = free & adj_unknown
+    frontier = np.zeros(np.add(free.shape, 2), dtype=bool)   # False border
+    frontier[1:-1, 1:-1] = free & adj_unknown
     if not frontier.any():
         return []
-    labels, _ = ndimage.label(frontier, structure=np.ones((3, 3), dtype=int))
-    rows, cols = np.nonzero(labels)
-    k = labels[rows, cols] - 1
+    width = frontier.shape[1]
+    cells, root = _components(frontier.ravel(), (1, width - 1, width, width + 1))
+    rows, cols = cells // width - 1, cells % width - 1
+    k = (np.cumsum(root == np.arange(len(root))) - 1)[root]   # dense labels
     # integer sums are exact in float64, so these are the members' means
     n = np.bincount(k)
     cr = np.bincount(k, weights=rows) / n
@@ -151,6 +154,19 @@ def frontier_goals(grid: OccupancyGrid) -> list:
     order = np.lexsort((cols, rows, d2, k))
     first = order[np.r_[True, k[order][1:] != k[order][:-1]]]
     return sorted(zip(rows[first].tolist(), cols[first].tolist()))
+
+
+def _components(flat: np.ndarray, steps) -> tuple:
+    """Ascending indices of the True cells of a flat bool grid with a False
+    border, and for each the position among them of its component's first
+    cell; cells i and i + step are neighbours for each step in steps."""
+    cells = np.flatnonzero(flat)
+    node = np.zeros(len(flat), dtype=np.intp)
+    node[cells] = np.arange(len(cells))
+    src = [np.flatnonzero(flat[cells + step]) for step in steps]
+    dst = [node[cells[i] + step] for i, step in zip(src, steps)]
+    return cells, lowest_index_components(len(cells), np.concatenate(src),
+                                          np.concatenate(dst))
 
 
 def _passable(grid: OccupancyGrid, extra_blocked) -> bytearray:
@@ -180,8 +196,8 @@ def next_goal(policy: str, grid: OccupancyGrid, agent: AgentState,
     if not (grid.in_bounds(start) and passable[s]):
         return None
     if policy == "random":
-        labels = ndimage.label(np.reshape(passable, (-1, width)))[0]  # 4-connected
-        candidates = np.flatnonzero(labels == labels.flat[s])
+        cells, root = _components(np.frombuffer(passable, dtype=bool), (1, width))
+        candidates = cells[root == root[np.searchsorted(cells, s)]]
         idx = int(candidates[rng.integers(len(candidates))])
         return divmod(idx - width - 1, width)
     if policy == "frontier":

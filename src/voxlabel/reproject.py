@@ -4,8 +4,8 @@ Each instance voxel's centre, computed once per map, is projected through the
 camera; a depth-buffer test with a small tolerance handles occlusion, and each
 accepted voxel splats its square footprint so masks stay dense. Overlaps
 resolve on one int64 key per voxel, (depth rank, uid), spread over each
-footprint radius by a minimum filter: nearer depth wins, an exact tie goes to
-the lower uid.
+footprint radius by a separable square-window minimum: nearer depth wins, an
+exact tie goes to the lower uid.
 """
 
 from __future__ import annotations
@@ -13,13 +13,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .consensus import SemanticVoxelMap
 from .detector import mask_bbox
 from .scene import CameraIntrinsics, FrameObservation, world_to_pixel
 
-_NO_KEY = 1 << 62   # "no voxel"; minimum_filter's float cval holds it exactly
+_NO_KEY = 1 << 62   # "no voxel"; above every (depth rank, uid) key
+
+
+def _window_min(image: np.ndarray, r: int) -> np.ndarray:
+    """Minimum over each pixel's (2r + 1)-square window, _NO_KEY outside:
+    one pass per axis, each taking minima over windows of doubling width
+    until two overlapping ones cover 2r + 1, so the cost grows with log r."""
+    for _ in range(2):
+        n = len(image)
+        m = np.full((n + 2 * r, image.shape[1]), _NO_KEY)
+        m[r:r + n] = image
+        span = 1
+        while 2 * span <= 2 * r + 1:
+            m = np.minimum(m[:-span], m[span:])
+            span *= 2
+        # m[i] and m[i + 2r + 1 - span] cover padded rows i .. i + 2r; the
+        # transpose sends the next pass along the other axis
+        image = np.minimum(m[:n], m[2 * r + 1 - span:][:n]).T
+    return image
 
 
 @dataclass
@@ -86,8 +103,7 @@ def project_instance_masks(vmap: SemanticVoxelMap, frame: FrameObservation,
     for r in np.unique(radii).tolist():
         centre = np.full(H * W, _NO_KEY)
         np.minimum.at(centre, pix[radii == r], key[radii == r])
-        best = np.minimum(best, ndimage.minimum_filter(
-            centre.reshape(H, W), 2 * r + 1, mode="constant", cval=_NO_KEY))
+        best = np.minimum(best, _window_min(centre.reshape(H, W), r))
     winner = np.where(best < _NO_KEY, best % n, -1)
 
     labels: list[PseudoLabel] = []

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from voxlabel.scene import Box, CameraIntrinsics, ObjectInstance, Pose, SceneSpec

@@ -120,6 +120,30 @@ def project_homogeneous(p, K, pose):
     return uvw[0] / uvw[2], uvw[1] / uvw[2], Z
 
 
+# ----------------------------------------------------------------- detector
+
+def cross_morphology(mask, r):
+    """|r| rounds of 4-neighbour dilation (r > 0) or erosion (r < 0) by
+    python loops; pixels outside the image count as False."""
+    rows, cols = len(mask), len(mask[0])
+    cur = [[bool(x) for x in row] for row in mask]
+
+    def at(i, j):
+        return 0 <= i < rows and 0 <= j < cols and cur[i][j]
+
+    for _ in range(abs(r)):
+        nxt = []
+        for i in range(rows):
+            row = []
+            for j in range(cols):
+                around = [at(i, j), at(i - 1, j), at(i + 1, j),
+                          at(i, j - 1), at(i, j + 1)]
+                row.append(any(around) if r > 0 else all(around))
+            nxt.append(row)
+        cur = nxt
+    return np.array(cur, dtype=bool)
+
+
 # ------------------------------------------------------------------ explore
 
 def bfs_path_cost(cells_free, start, goal):
@@ -400,6 +424,22 @@ def painter_reproject(instance_keys, voxel_size, depth, K, pose, tolerance):
                         zbuf[tv][tu] = z
                         winner[tv][tu] = uid
     return np.array(winner)
+
+
+def window_min_brute(image, r, fill):
+    """Minimum over each pixel's (2r + 1)-square window, scanning every
+    window position; positions outside the image read fill."""
+    rows, cols = image.shape
+    out = np.empty_like(image)
+    for i in range(rows):
+        for j in range(cols):
+            best = fill
+            for a in range(i - r, i + r + 1):
+                for b in range(j - r, j + r + 1):
+                    inside = 0 <= a < rows and 0 <= b < cols
+                    best = min(best, int(image[a, b]) if inside else fill)
+            out[i, j] = best
+    return out
 
 
 # ------------------------------------------------------------------- losses

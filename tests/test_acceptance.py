@@ -108,8 +108,8 @@ class TestAcceptance:
             logit_rows = rng.normal(0, 3, (n_obs, 6))
             vmap = SemanticVoxelMap()
             keys = [tuple(k) for k in rng.integers(0, 5, (n_obs, 3)).tolist()]
-            for i, row in enumerate(logit_rows):
-                vmap.add_observation([keys[i]], row, 0.9, i, 0)
+            for key, row in zip(keys, logit_rows):
+                vmap.add_observation([key], row, 0.9)
             resolve_voxels(vmap)
             inst = InstanceRecord(uid=0, class_id=0,
                                   voxels=np.array(sorted(set(keys))))
@@ -132,8 +132,7 @@ class TestAcceptance:
                 keys = {tuple(k) for k in rng.integers(0, 16, (n, 3)).tolist()}
                 keys = {(x + 100 * class_id, y, z) for x, y, z in keys}
                 by_class[class_id] = keys
-                vmap.add_observation(sorted(keys), np.eye(6)[class_id] * 5,
-                                     0.9, class_id, 0)
+                vmap.add_observation(sorted(keys), np.eye(6)[class_id] * 5, 0.9)
             resolve_voxels(vmap)
             extract_instances(vmap, min_instance_voxels=1)
             got = {(i.class_id, frozenset(map(tuple, i.voxels.tolist())))

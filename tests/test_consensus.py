@@ -9,15 +9,13 @@ from voxlabel.consensus import (DEFAULT_VOXEL_SIZE, InstanceRecord,
                                 SemanticVoxelMap, accumulate_frame,
                                 consistent_logits, extract_instances,
                                 finalize_map, resolve_voxels)
-from voxlabel.detector import (Detection, DetectionSet, NoiseModel, mask_bbox,
-                               softmax)
+from voxlabel.detector import Detection, DetectionSet, NoiseModel, mask_bbox
 from voxlabel.explore import run_episode
 from voxlabel.reproject import build_pseudo_dataset
-from voxlabel.scene import (CameraIntrinsics, FrameObservation, Pose,
-                            SceneParams, generate_scene, pixel_to_world)
+from voxlabel.scene import (FrameObservation, Pose, SceneParams,
+                            generate_scene, pixel_to_world)
 
-from oracles import (flood_fill_components, max_score_labels, mean_softmax,
-                     softmax_ref)
+from oracles import flood_fill_components, max_score_labels, mean_softmax
 
 
 def logits_for(class_id, strength=5.0, n=6):
@@ -26,11 +24,11 @@ def logits_for(class_id, strength=5.0, n=6):
     return out
 
 
-def add_obs(vmap, keys, class_id, score, frame=0, det=0, logits=None):
+def add_obs(vmap, keys, class_id, score, logits=None):
     """Add one observation covering every key."""
     if logits is None:
         logits = logits_for(class_id)
-    return vmap.add_observation(keys, logits, score, frame, det)
+    return vmap.add_observation(keys, logits, score)
 
 
 def key_set(keys):
@@ -100,8 +98,7 @@ class TestAccumulate:
                 want[key] = want.get(key, 0) + 1
         resolve_voxels(vmap)
         assert key_set(vmap.voxels) == set(want)
-        assert [(o.frame_index, o.det_index)
-                for o in vmap.observations] == [(5, 0)]
+        assert len(vmap.observations) == 1
 
     def test_zero_depth_pixels_skipped(self, cam):
         depth = np.zeros((cam.height, cam.width))
@@ -149,8 +146,8 @@ class TestResolve:
         # couch at 0.9 beats bed at 0.8
         vmap = SemanticVoxelMap()
         key = (0, 0, 0)
-        add_obs(vmap, [key], class_id=1, score=0.9, frame=0, det=0)
-        add_obs(vmap, [key], class_id=2, score=0.8, frame=1, det=0)
+        add_obs(vmap, [key], class_id=1, score=0.9)
+        add_obs(vmap, [key], class_id=2, score=0.8)
         resolve_voxels(vmap)
         assert voxel_labels(vmap)[key][0] == 1
 
@@ -158,16 +155,16 @@ class TestResolve:
         # tv (5) and bed (2) both at 0.7: bed wins
         vmap = SemanticVoxelMap()
         key = (0, 0, 0)
-        add_obs(vmap, [key], class_id=5, score=0.7, frame=0, det=0)
-        add_obs(vmap, [key], class_id=2, score=0.7, frame=1, det=0)
+        add_obs(vmap, [key], class_id=5, score=0.7)
+        add_obs(vmap, [key], class_id=2, score=0.7)
         resolve_voxels(vmap)
         assert voxel_labels(vmap)[key][0] == 2
 
     def test_full_tie_earlier_frame(self):
         vmap = SemanticVoxelMap()
         key = (0, 0, 0)
-        add_obs(vmap, [key], class_id=4, score=0.7, frame=3, det=1)
-        add_obs(vmap, [key], class_id=4, score=0.7, frame=1, det=2,
+        add_obs(vmap, [key], class_id=4, score=0.7)
+        add_obs(vmap, [key], class_id=4, score=0.7,
                 logits=logits_for(4, strength=9.0))
         resolve_voxels(vmap)
         # both candidates say class 4
@@ -178,8 +175,8 @@ class TestResolve:
         vmap = SemanticVoxelMap()
         key = (2, 2, 2)
         for i in range(5):
-            add_obs(vmap, [key], class_id=1, score=0.6, frame=i, det=0)
-        add_obs(vmap, [key], class_id=2, score=0.9, frame=9, det=0)
+            add_obs(vmap, [key], class_id=1, score=0.6)
+        add_obs(vmap, [key], class_id=2, score=0.9)
         resolve_voxels(vmap)
         assert voxel_labels(vmap)[key][0] == 2
 
@@ -203,17 +200,17 @@ class TestExtractInstances:
 
     def test_same_position_different_class_split(self):
         vmap = SemanticVoxelMap()
-        add_obs(vmap, [(0, 0, 0)], class_id=1, score=0.9, frame=0)
-        add_obs(vmap, [(1, 0, 0)], class_id=2, score=0.9, frame=1)
+        add_obs(vmap, [(0, 0, 0)], class_id=1, score=0.9)
+        add_obs(vmap, [(1, 0, 0)], class_id=2, score=0.9)
         resolve_voxels(vmap)
         extract_instances(vmap, min_instance_voxels=1)
         assert sorted(i.class_id for i in vmap.instances.values()) == [1, 2]
 
     def test_min_size_filter(self):
         vmap = SemanticVoxelMap()
-        add_obs(vmap, [(0, 0, 0), (1, 0, 0)], class_id=1, score=0.9, frame=0)
+        add_obs(vmap, [(0, 0, 0), (1, 0, 0)], class_id=1, score=0.9)
         big = [(10 + i, 0, 0) for i in range(6)]
-        add_obs(vmap, big, class_id=1, score=0.9, frame=1)
+        add_obs(vmap, big, class_id=1, score=0.9)
         resolve_voxels(vmap)
         extract_instances(vmap, min_instance_voxels=3)
         assert len(vmap.instances) == 1
@@ -231,8 +228,7 @@ class TestExtractInstances:
                 # keep classes spatially disjoint by offsetting each class
                 keys = {(x + 20 * class_id, y, z) for x, y, z in keys}
                 by_class[class_id] = keys
-                add_obs(vmap, sorted(keys), class_id=class_id, score=0.9,
-                        frame=class_id)
+                add_obs(vmap, sorted(keys), class_id=class_id, score=0.9)
             resolve_voxels(vmap)
             extract_instances(vmap, min_instance_voxels=1)
             got = {(inst.class_id, frozenset(key_set(inst.voxels)))
@@ -246,8 +242,8 @@ class TestExtractInstances:
 
     def test_uids_dense_and_ordered(self):
         vmap = SemanticVoxelMap()
-        add_obs(vmap, [(5, 0, 0)], class_id=0, score=0.9, frame=0)
-        add_obs(vmap, [(0, 0, 0)], class_id=1, score=0.9, frame=1)
+        add_obs(vmap, [(5, 0, 0)], class_id=0, score=0.9)
+        add_obs(vmap, [(0, 0, 0)], class_id=1, score=0.9)
         resolve_voxels(vmap)
         extract_instances(vmap, min_instance_voxels=1)
         assert list(vmap.instances) == [0, 1]
@@ -263,8 +259,8 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_random_observations_match_oracles(self, observations):
         vmap = SemanticVoxelMap()
-        for frame, (keys, class_id, score) in enumerate(observations):
-            add_obs(vmap, keys, class_id=class_id, score=score, frame=frame)
+        for keys, class_id, score in observations:
+            add_obs(vmap, keys, class_id=class_id, score=score)
         finalize_map(vmap, min_instance_voxels=1)
         want = max_score_labels(observations)
         got = voxel_labels(vmap)
@@ -323,9 +319,9 @@ class TestConsistentLogits:
     def test_two_detection_example(self):
         # Q = {(ln 2, 0, 0), (0, 0, 0)} -> (5/12, 7/24, 7/24)
         vmap = SemanticVoxelMap()
-        add_obs(vmap, [(0, 0, 0)], class_id=0, score=0.9, frame=0,
+        add_obs(vmap, [(0, 0, 0)], class_id=0, score=0.9,
                 logits=np.array([math.log(2), 0.0, 0.0]))
-        add_obs(vmap, [(0, 0, 0)], class_id=0, score=0.9, frame=1,
+        add_obs(vmap, [(0, 0, 0)], class_id=0, score=0.9,
                 logits=np.zeros(3))
         resolve_voxels(vmap)
         lam = consistent_logits(instance([(0, 0, 0)]), vmap)
@@ -335,9 +331,9 @@ class TestConsistentLogits:
         # one detection spans 10 voxels, another only 1: still a 50/50 mean
         vmap = SemanticVoxelMap()
         wide = [(i, 0, 0) for i in range(10)]
-        add_obs(vmap, wide, class_id=0, score=0.9, frame=0,
+        add_obs(vmap, wide, class_id=0, score=0.9,
                 logits=np.array([4.0, 0.0, 0.0]))
-        add_obs(vmap, [wide[0]], class_id=1, score=0.9, frame=1,
+        add_obs(vmap, [wide[0]], class_id=1, score=0.9,
                 logits=np.array([0.0, 4.0, 0.0]))
         resolve_voxels(vmap)
         lam = consistent_logits(instance(wide), vmap)
@@ -350,8 +346,8 @@ class TestConsistentLogits:
     @settings(max_examples=40, deadline=None)
     def test_probability_vector_properties(self, logit_rows):
         vmap = SemanticVoxelMap()
-        for i, row in enumerate(logit_rows):
-            add_obs(vmap, [(0, 0, 0)], class_id=0, score=0.9, frame=i,
+        for row in logit_rows:
+            add_obs(vmap, [(0, 0, 0)], class_id=0, score=0.9,
                     logits=np.array(row))
         resolve_voxels(vmap)
         lam = consistent_logits(instance([(0, 0, 0)]), vmap)

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxlabel.detector import (Detection, DetectionSet, NoiseModel,
+from voxlabel.detector import (DetectionSet, NoiseModel, _jitter_mask,
                                mask_bbox, simulate_detections, softmax)
 from voxlabel.scene import (Box, FrameObservation, ObjectInstance, Pose,
                             SceneSpec, render_frame)
+
+from oracles import cross_morphology
 
 
 class TestSoftmax:
@@ -175,6 +177,33 @@ class TestSimulateDetections:
         for det in out.detections:
             assert det.mask.any()
             assert det.bbox == mask_bbox(det.mask)
+
+
+class FixedDraw:
+    """Stands in for the rng: integers(low, high) always returns r."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def integers(self, low, high):
+        assert low <= self.r < high
+        return self.r
+
+
+class TestJitterMask:
+    @pytest.mark.parametrize("r", range(-3, 4))
+    def test_matches_loop_oracle(self, r):
+        rng = np.random.default_rng(r + 3)
+        centre = np.zeros((9, 9), dtype=bool)
+        centre[4, 4] = True
+        masks = [rng.random((7, 9)) < 0.7,         # border pixels included
+                 np.ones((5, 6), dtype=bool), centre,
+                 np.ones((1, 1), dtype=bool), rng.random((1, 8)) < 0.6,
+                 np.ones((8, 1), dtype=bool)]
+        for mask in masks:
+            got = _jitter_mask(mask, 3, FixedDraw(r))
+            assert got.dtype == bool
+            assert np.array_equal(got, cross_morphology(mask, r)), mask.shape
 
 
 class TestSerialization:

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxlabel.consensus import SemanticVoxelMap, accumulate_frame, finalize_map
-from voxlabel.detector import NoiseModel
-from voxlabel.evaluate import (EvalReport, average_precision,
-                               evaluate_pseudo_labels, frame_gt_boxes, iou,
-                               pseudo_disagreement, raw_consistency_stats)
+from voxlabel.detector import Detection, DetectionSet, NoiseModel
+from voxlabel.evaluate import (average_precision, evaluate_pseudo_labels,
+                               frame_gt_boxes, iou, pseudo_disagreement,
+                               raw_consistency_stats)
 from voxlabel.explore import Trajectory, run_episode
 from voxlabel.reproject import build_pseudo_dataset
 from voxlabel.scene import CameraIntrinsics, SceneParams, generate_scene
@@ -187,3 +187,25 @@ class TestEvaluatePseudoLabels:
     def test_disagreement_on_empty_dataset(self):
         from voxlabel.reproject import PseudoDataset
         assert pseudo_disagreement(PseudoDataset(frames=[[]])) == 0.0
+
+
+def detections_of(frame_index, pairs):
+    """DetectionSet of one-pixel detections, one per (class_id, gt_id)."""
+    return DetectionSet(frame_index, [
+        Detection(np.ones((1, 1), dtype=bool), (0, 0, 0, 0), class_id,
+                  np.eye(6)[class_id], 0.9) for class_id, _ in pairs],
+        [gt_id for _, gt_id in pairs])
+
+
+@pytest.mark.parametrize("frames, want", [
+    # gt 3 is called class 1, then class 2; gt 5 is class 0 both times
+    ([[(1, 3), (0, 5)], [(2, 3), (0, 5)]], (2, 0.5)),
+    ([[(1, 3)], [(1, 3)], []], (1, 0.0)),
+    ([[], []], (0, 0.0)),
+], ids=["split", "unanimous", "none"])
+def test_raw_consistency_stats(frames, want):
+    traj = Trajectory(frames=[None] * len(frames),
+                      detections=[detections_of(i, pairs)
+                                  for i, pairs in enumerate(frames)])
+    got = raw_consistency_stats(traj)
+    assert (got["instances_detected"], got["raw_disagreement_fraction"]) == want

@@ -87,6 +87,14 @@ class TestFrontierGoals:
         grid.cells[:] = FREE
         assert frontier_goals(grid) == []
 
+    def test_diagonal_touch_is_one_cluster(self):
+        grid = empty_grid(10, 10)
+        # (2, 2) and (2, 4) touch (3, 3) only at its corners; (7, 7) is alone
+        for cell in [(2, 2), (3, 3), (2, 4), (7, 7)]:
+            grid.cells[cell] = FREE
+        want = frontier_scan(grid.cells, free=FREE, unknown=UNKNOWN)
+        assert frontier_goals(grid) == want == [(3, 3), (7, 7)]
+
     def test_matches_brute_force_scan(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -130,6 +138,20 @@ class TestNextGoal:
             counts[next_goal("random", grid2, agent, rng)] += 1
         for c in free_cells:
             assert abs(counts[c] / n - 0.25) <= 0.02
+
+    def test_random_stays_in_agent_component(self):
+        grid = empty_grid(8, 8)
+        grid.cells[1:3, 1:3] = FREE     # the agent's block
+        grid.cells[3:6, 3:6] = FREE     # meets it only at a corner
+        agent = AgentState(pose=Pose(x=0.15, y=0.15, yaw=0.0))   # cell (1, 1)
+        got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        goals = set()
+        for _ in range(200):
+            goal = next_goal("random", grid, agent, got_rng)
+            assert goal == next_goal_by_bfs("random", grid.cells, (1, 1),
+                                            want_rng, [], free=FREE)
+            goals.add(goal)
+        assert goals == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
     def test_done_when_no_free(self):
         grid = empty_grid()

@@ -10,7 +10,6 @@ from voxlabel.losses import (LossValue, TrainConfig, detection_loss,
                              distill_loss, head_loss, toy_finetune,
                              triplet_loss)
 from voxlabel.reproject import PseudoDataset, PseudoLabel
-from voxlabel.scene import CameraIntrinsics
 
 from oracles import batch_all_triplet, finite_difference_grad, relative_error
 

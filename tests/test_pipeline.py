@@ -3,7 +3,6 @@ import json
 import multiprocessing
 import os
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest

@@ -5,22 +5,21 @@ import pytest
 
 from voxlabel.consensus import (SemanticVoxelMap, accumulate_frame,
                                 finalize_map)
-from voxlabel.detector import NoiseModel, mask_bbox, simulate_detections
+from voxlabel.detector import NoiseModel, mask_bbox
 from voxlabel.explore import run_episode
-from voxlabel.reproject import (PseudoDataset, build_pseudo_dataset,
+from voxlabel.reproject import (_NO_KEY, _window_min, build_pseudo_dataset,
                                 dataset_to_coco, project_instance_masks)
-from voxlabel.scene import (Box, CameraIntrinsics, FrameObservation,
-                            ObjectInstance, Pose, SceneParams, SceneSpec,
-                            generate_scene, render_frame, world_to_pixel)
+from voxlabel.scene import (CameraIntrinsics, FrameObservation, Pose,
+                            SceneParams, generate_scene, world_to_pixel)
 from voxlabel.serialize import canonical_dumps, derive_seed
 
-from oracles import painter_reproject
+from oracles import painter_reproject, window_min_brute
 
 
 def single_voxel_map(key=(40, 0, 25)):
     """Map with one resolved single-voxel instance at the given key."""
     vmap = SemanticVoxelMap()
-    vmap.add_observation([key], np.array([0, 0, 5.0, 0, 0, 0]), 0.9, 0, 0)
+    vmap.add_observation([key], np.array([0, 0, 5.0, 0, 0, 0]), 0.9)
     finalize_map(vmap, min_instance_voxels=1)
     assert len(vmap.instances) == 1
     return vmap
@@ -87,10 +86,8 @@ class TestProjectInstanceMasks:
     def test_nearer_instance_wins_overlap(self, cam):
         vmap = SemanticVoxelMap()
         near_key, far_key = (40, 0, 25), (80, 0, 25)    # 2.025 m and 4.025 m
-        vmap.add_observation([near_key], np.array([5.0, 0, 0, 0, 0, 0]),
-                             0.9, 0, 0)
-        vmap.add_observation([far_key], np.array([0, 5.0, 0, 0, 0, 0]),
-                             0.9, 1, 0)
+        vmap.add_observation([near_key], np.array([5.0, 0, 0, 0, 0, 0]), 0.9)
+        vmap.add_observation([far_key], np.array([0, 5.0, 0, 0, 0, 0]), 0.9)
         finalize_map(vmap, min_instance_voxels=1)
         pose = Pose(0, 0, 0, camera_height=1.25)
         # depth image agrees with the *near* voxel on the shared ray
@@ -125,13 +122,27 @@ class TestProjectInstanceMasks:
             project_instance_masks(vmap, frame, cam, occlusion_tolerance=-0.1)
 
 
+class TestWindowMin:
+    @pytest.mark.parametrize("shape", [(6, 8), (1, 9), (9, 1), (1, 1)])
+    def test_matches_brute_force(self, shape):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        for density in (0.1, 0.9):
+            # keys at a share of the pixels, _NO_KEY holes elsewhere
+            image = np.where(rng.random(shape) < density,
+                             rng.integers(0, 1 << 40, shape), _NO_KEY)
+            for r in range(1, 14):      # up to windows far wider than the image
+                got = _window_min(image, r)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, window_min_brute(image, r, _NO_KEY)), r
+
+
 def map_from_voxels(voxel_classes, voxel_size=0.05):
     """Extracted map, one observation per voxel, every component kept."""
     vmap = SemanticVoxelMap(voxel_size=voxel_size)
-    for det, (key, class_id) in enumerate(sorted(voxel_classes.items())):
+    for key, class_id in sorted(voxel_classes.items()):
         logits = np.zeros(6)
         logits[class_id] = 5.0
-        vmap.add_observation([key], logits, 0.9, 0, det)
+        vmap.add_observation([key], logits, 0.9)
     finalize_map(vmap, min_instance_voxels=1)
     return vmap
 

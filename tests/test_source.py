@@ -1,6 +1,9 @@
 """Static checks of the package source; no linter is a dependency."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ import voxlabel
 
 MODULES = sorted(p for p in Path(voxlabel.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")   # its imports are re-exports
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -30,6 +34,17 @@ def test_checker_finds_unused_import():
     assert unused_imports(source) == ["os", "d"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_imports_no_scipy():
+    """A fresh import of the package and its console entry point loads no
+    scipy module: the runtime depends on numpy alone."""
+    env = {**os.environ, "PYTHONPATH": str(Path(voxlabel.__file__).parents[1])}
+    code = ("import sys, voxlabel, voxlabel.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
