@@ -1,4 +1,4 @@
-"""Parametric stochastic detector producing per-frame masks, boxes, and logits.
+"""Parametric stochastic detector producing per-frame masks and logits.
 
 Stands in for an off-the-shelf instance-segmentation model. Error modes are
 controlled by NoiseModel: class confusion, distance-dependent dropout, logit
@@ -8,11 +8,12 @@ noise, and mask boundary jitter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .scene import NUM_CLASSES, FrameObservation, SceneSpec
-from .serialize import JsonDataclass
+from .scene import NUM_CLASSES, FrameObservation, SceneSpec, visible_instances
+from .serialize import JsonDataclass, rle_decode_bool, rle_encode_bool
 
 
 def softmax(logits) -> np.ndarray:
@@ -73,56 +74,57 @@ class NoiseModel(JsonDataclass):
 
 @dataclass
 class Detection:
-    """One detected instance: boolean mask, box, class, raw logits, score."""
+    """One detected instance: a boolean mask and raw class logits.
+
+    Box, class and score are derived: the mask's minimal box (mask_bbox),
+    the argmax of the logits and the largest softmax probability.
+    """
 
     mask: np.ndarray            # (H, W) bool
-    bbox: tuple                 # (u_min, v_min, u_max, v_max), inclusive pixels
-    class_id: int
     logits: np.ndarray          # (6,)
-    score: float
+
+    @cached_property
+    def bbox(self) -> tuple:
+        return mask_bbox(self.mask)
+
+    @cached_property
+    def class_id(self) -> int:
+        return int(np.argmax(self.logits))
+
+    @cached_property
+    def score(self) -> float:
+        return float(softmax(self.logits).max())
 
     def to_json(self) -> dict:
-        from .serialize import rle_encode_bool
-        return {
-            "mask_rle": rle_encode_bool(self.mask),
-            "mask_shape": list(self.mask.shape),
-            "bbox": [int(b) for b in self.bbox],
-            "class_id": int(self.class_id),
-            "logits": [float(x) for x in self.logits],
-            "score": float(self.score),
-        }
+        return {"mask_rle": rle_encode_bool(self.mask),
+                "logits": [float(x) for x in self.logits]}
 
     @classmethod
-    def from_json(cls, d: dict) -> "Detection":
-        from .serialize import rle_decode_bool
-        mask = rle_decode_bool(d["mask_rle"], tuple(d["mask_shape"]))
-        return cls(mask=mask, bbox=tuple(d["bbox"]), class_id=int(d["class_id"]),
-                   logits=np.array(d["logits"], dtype=float), score=float(d["score"]))
+    def from_json(cls, d: dict, shape: tuple) -> "Detection":
+        return cls(mask=rle_decode_bool(d["mask_rle"], shape),
+                   logits=np.array(d["logits"], dtype=float))
 
 
 @dataclass
 class DetectionSet:
-    """Detections for one frame.
+    """Detections for one frame; a trajectory's list index is its frame.
 
     secret_gt_ids is a diagnostics-only channel (one entry per detection);
-    consensus, reprojection, and the losses never read it.
+    consensus, reprojection, and the losses never read it. from_json takes
+    the (H, W) shape of the masks, which the JSON does not hold.
     """
 
-    frame_index: int
     detections: list[Detection]
     secret_gt_ids: list[int]
 
     def to_json(self) -> dict:
-        return {
-            "frame_index": self.frame_index,
-            "detections": [d.to_json() for d in self.detections],
-            "secret_gt_ids": [int(i) for i in self.secret_gt_ids],
-        }
+        return {"detections": [d.to_json() for d in self.detections],
+                "secret_gt_ids": [int(i) for i in self.secret_gt_ids]}
 
     @classmethod
-    def from_json(cls, d: dict) -> "DetectionSet":
-        return cls(frame_index=int(d["frame_index"]),
-                   detections=[Detection.from_json(x) for x in d["detections"]],
+    def from_json(cls, d: dict, shape: tuple) -> "DetectionSet":
+        return cls(detections=[Detection.from_json(x, shape)
+                               for x in d["detections"]],
                    secret_gt_ids=[int(i) for i in d["secret_gt_ids"]])
 
 
@@ -147,8 +149,7 @@ def _jitter_mask(mask: np.ndarray, radius: int, rng: np.random.Generator) -> np.
 
 
 def simulate_detections(frame: FrameObservation, scene: SceneSpec,
-                        noise: NoiseModel, rng: np.random.Generator,
-                        frame_index: int = 0) -> DetectionSet:
+                        noise: NoiseModel, rng: np.random.Generator) -> DetectionSet:
     """Simulate detector output for one frame.
 
     Per visible instance (>= min_pixels pixels): distance-dependent dropout,
@@ -160,12 +161,7 @@ def simulate_detections(frame: FrameObservation, scene: SceneSpec,
     detections: list[Detection] = []
     secret: list[int] = []
 
-    ids, counts = np.unique(frame.gt_instance[frame.gt_instance >= 0],
-                            return_counts=True)
-    for gt_id, n_px in zip(ids.tolist(), counts.tolist()):
-        if n_px < noise.min_pixels:
-            continue
-        inst_mask = frame.gt_instance == gt_id
+    for gt_id, inst_mask in visible_instances(frame, noise.min_pixels):
         distance = float(frame.depth[inst_mask].mean())
         p_drop = min(1.0, noise.dropout_base + noise.dropout_per_meter * distance)
         if rng.random() < p_drop:
@@ -178,14 +174,10 @@ def simulate_detections(frame: FrameObservation, scene: SceneSpec,
         mask = _jitter_mask(inst_mask, noise.mask_jitter_px, rng)
         if not mask.any():
             continue
-        probs = softmax(logits)
-        score = float(probs.max())
-        if score < noise.score_threshold:
+        det = Detection(mask=mask, logits=logits)
+        if det.score < noise.score_threshold:
             continue
-        class_id = int(np.argmax(logits))
-        detections.append(Detection(mask=mask, bbox=mask_bbox(mask),
-                                    class_id=class_id, logits=logits, score=score))
-        secret.append(int(gt_id))
+        detections.append(det)
+        secret.append(gt_id)
 
-    return DetectionSet(frame_index=frame_index, detections=detections,
-                        secret_gt_ids=secret)
+    return DetectionSet(detections=detections, secret_gt_ids=secret)

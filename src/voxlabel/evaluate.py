@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detector import mask_bbox
-from .scene import NUM_CLASSES, SceneSpec
+from .scene import NUM_CLASSES, SceneSpec, visible_instances
 
 
 def iou(box_a, box_b) -> float:
@@ -100,15 +100,8 @@ class EvalReport:
 
 def frame_gt_boxes(frame, scene: SceneSpec, min_pixels: int = 50):
     """Per-frame ground truth: (class_id, bbox) of each visible instance."""
-    out = []
-    ids, counts = np.unique(frame.gt_instance[frame.gt_instance >= 0],
-                            return_counts=True)
-    for gt_id, n_px in zip(ids.tolist(), counts.tolist()):
-        if n_px < min_pixels:
-            continue
-        out.append((scene.object_by_id(gt_id).class_id,
-                    mask_bbox(frame.gt_instance == gt_id)))
-    return out
+    return [(scene.object_by_id(gt_id).class_id, mask_bbox(mask))
+            for gt_id, mask in visible_instances(frame, min_pixels)]
 
 
 def _collect_predictions(dataset_or_dets):
@@ -126,12 +119,12 @@ def _collect_predictions(dataset_or_dets):
             scores.append(float(np.max(lab.lambda_bar)))
             frames.append(frame_id)
     else:
-        for det_set in dataset_or_dets:
+        for frame_id, det_set in enumerate(dataset_or_dets):
             for det in det_set.detections:
                 boxes, scores, frames = per_class[det.class_id]
                 boxes.append(det.bbox)
                 scores.append(det.score)
-                frames.append(det_set.frame_index)
+                frames.append(frame_id)
     return per_class
 
 

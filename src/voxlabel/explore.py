@@ -15,13 +15,14 @@ import numpy as np
 
 from .consensus import lowest_index_components
 from .detector import DetectionSet, NoiseModel, simulate_detections
-from .scene import (CameraIntrinsics, FrameObservation, Pose, SceneSpec,
-                    normalize_angle, render_frame)
+from .scene import (MAX_RANGE, CameraIntrinsics, FrameObservation, Pose,
+                    SceneSpec, normalize_angle, render_frame)
 from .serialize import derive_seed
 
 UNKNOWN, FREE, OCCUPIED = 0, 1, 2
 
 AGENT_RADIUS = 0.15
+CELL_SIZE = 0.1     # occupancy grid cell (m)
 
 
 class Action(Enum):
@@ -43,11 +44,11 @@ class OccupancyGrid:
     origin: tuple               # (x, y)
 
     @classmethod
-    def for_scene(cls, scene: SceneSpec, cell_size: float = 0.1) -> "OccupancyGrid":
+    def for_scene(cls, scene: SceneSpec) -> "OccupancyGrid":
         b = scene.bounds
-        cols = int(math.ceil((b.xmax - b.xmin) / cell_size))
-        rows = int(math.ceil((b.ymax - b.ymin) / cell_size))
-        return cls(cell_size=cell_size,
+        cols = int(math.ceil((b.xmax - b.xmin) / CELL_SIZE))
+        rows = int(math.ceil((b.ymax - b.ymin) / CELL_SIZE))
+        return cls(cell_size=CELL_SIZE,
                    cells=np.zeros((rows, cols), dtype=np.uint8),
                    origin=(b.xmin, b.ymin))
 
@@ -91,7 +92,7 @@ def _mark(grid: OccupancyGrid, x, y, keep, value: int):
 
 
 def update_occupancy(grid: OccupancyGrid, frame: FrameObservation,
-                     K: CameraIntrinsics, max_range: float = 10.0) -> OccupancyGrid:
+                     K: CameraIntrinsics) -> OccupancyGrid:
     """Mark cells along each image column's nearest-return ray.
 
     Under the planar-depth convention every ray of a column shares the same
@@ -99,7 +100,7 @@ def update_occupancy(grid: OccupancyGrid, frame: FrameObservation,
     obstruction along that track (this sees furniture below the horizon row,
     which a central-row-only update cannot). Cells before the hit become
     free and the hit cell occupied; columns with no return mark free out to
-    max range. Mutates and returns grid.
+    MAX_RANGE, the renderer's range. Mutates and returns grid.
     """
     pose = frame.pose
     right, _, forward = pose.basis()
@@ -109,10 +110,10 @@ def update_occupancy(grid: OccupancyGrid, frame: FrameObservation,
     dy = forward[1] + us * right[1]
     col_depth = np.where(frame.depth > 0, frame.depth, np.inf).min(axis=0)
     hit = np.isfinite(col_depth)
-    depths = np.where(hit, col_depth, max_range)
+    depths = np.where(hit, col_depth, MAX_RANGE)
 
     step = grid.cell_size * 0.5
-    ts = np.arange(step, max_range + step, step)            # (T,)
+    ts = np.arange(step, MAX_RANGE + step, step)            # (T,)
     # no sample past the farthest return frees a cell; cutting in blocks of 40
     # keeps the (T, W) temporaries to a few sizes, which the allocator reuses
     ts = ts[:40 * math.ceil(np.searchsorted(ts, depths.max() - 1e-9) / 40)]
@@ -262,8 +263,7 @@ def plan_path(grid: OccupancyGrid, start: tuple, goal: tuple,
     return None
 
 
-def _segment_blocked(scene: SceneSpec, x0, y0, x1, y1,
-                     radius: float = AGENT_RADIUS) -> bool:
+def _segment_blocked(scene: SceneSpec, x0, y0, x1, y1) -> bool:
     """True if the swept agent disc touches any solid box or leaves the room."""
     boxes = scene.all_solid_boxes()
     n = max(2, int(math.ceil(math.hypot(x1 - x0, y1 - y0) / 0.02)) + 1)
@@ -272,11 +272,11 @@ def _segment_blocked(scene: SceneSpec, x0, y0, x1, y1,
         x = x0 + t * (x1 - x0)
         y = y0 + t * (y1 - y0)
         b = scene.bounds
-        if not (b.xmin + radius <= x <= b.xmax - radius
-                and b.ymin + radius <= y <= b.ymax - radius):
+        if not (b.xmin + AGENT_RADIUS <= x <= b.xmax - AGENT_RADIUS
+                and b.ymin + AGENT_RADIUS <= y <= b.ymax - AGENT_RADIUS):
             return True
         for box in boxes:
-            if box.contains_xy(x, y, margin=radius):
+            if box.contains_xy(x, y, margin=AGENT_RADIUS):
                 return True
     return False
 
@@ -296,15 +296,14 @@ def step_agent(scene: SceneSpec, agent: AgentState, action: Action) -> AgentStat
     return AgentState(pose=pose)
 
 
-def sample_start_pose(scene: SceneSpec, rng: np.random.Generator,
-                      camera_height: float = 1.25, max_tries: int = 500) -> Pose:
+def sample_start_pose(scene: SceneSpec, rng: np.random.Generator) -> Pose:
     b = scene.bounds
-    for _ in range(max_tries):
+    for _ in range(500):
         x = float(rng.uniform(b.xmin, b.xmax))
         y = float(rng.uniform(b.ymin, b.ymax))
         if not _segment_blocked(scene, x, y, x, y):
             yaw = float(rng.uniform(-math.pi, math.pi))
-            return Pose(x=x, y=y, yaw=yaw, camera_height=camera_height)
+            return Pose(x=x, y=y, yaw=yaw)
     raise ValueError("no valid start pose")
 
 
@@ -342,8 +341,7 @@ class _Navigator:
 
 
 def run_episode(scene: SceneSpec, policy: str, noise: NoiseModel, n_steps: int,
-                K: CameraIntrinsics, seed: int, cell_size: float = 0.1,
-                camera_height: float = 1.25, max_range: float = 10.0):
+                K: CameraIntrinsics, seed: int):
     """Sense / detect / map / plan / act loop; returns (Trajectory, OccupancyGrid).
 
     When the agent collides with unseen geometry, the cell ahead is added to a
@@ -354,21 +352,19 @@ def run_episode(scene: SceneSpec, policy: str, noise: NoiseModel, n_steps: int,
     pose_rng = np.random.default_rng(derive_seed(seed, "start_pose"))
     goal_rng = np.random.default_rng(derive_seed(seed, "goals"))
 
-    pose = sample_start_pose(scene, pose_rng, camera_height=camera_height)
-    agent = AgentState(pose=pose)
-    grid = OccupancyGrid.for_scene(scene, cell_size=cell_size)
+    agent = AgentState(pose=sample_start_pose(scene, pose_rng))
+    grid = OccupancyGrid.for_scene(scene)
     nav = _Navigator(grid)
 
     frames: list[FrameObservation] = []
     dets: list[DetectionSet] = []
 
     for step in range(n_steps):
-        frame = render_frame(scene, agent.pose, K, max_range=max_range)
+        frame = render_frame(scene, agent.pose, K)
         det_rng = np.random.default_rng(derive_seed(seed, "detector", step))
-        det = simulate_detections(frame, scene, noise, det_rng, frame_index=step)
         frames.append(frame)
-        dets.append(det)
-        update_occupancy(grid, frame, K, max_range=max_range)
+        dets.append(simulate_detections(frame, scene, noise, det_rng))
+        update_occupancy(grid, frame, K)
 
         if step == n_steps - 1:
             break

@@ -6,8 +6,9 @@ whose result, their artifacts as text and the pseudo dataset, the grid
 cells of one (policy, seed) share. Each run writes its artifacts to its own
 directory with a MANIFEST of content hashes; every file is written to a
 temporary name and renamed into place, and the MANIFEST reads "running"
-until the run ends. trajectory.jsonl keeps only what cannot be recomputed,
-the poses and the detections; load_run re-renders the rest.
+until the run ends. trajectory.jsonl keeps only what cannot be recomputed:
+per frame the pose, each detection's mask RLE and logits, and the diagnostic
+gt ids; load_run re-renders the frames, and a frame's index is its line.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ logger = logging.getLogger(__name__)
 class RunConfig(JsonDataclass):
     """The settings of a run. config.json is its JsonDataclass to_json, and
     config_hash hashes that file's canonical text. Camera height, sensing
-    range, occupancy cell size and occlusion tolerance are the defaults of
-    run_episode, render_frame and project_instance_masks."""
+    range, occupancy cell size and occlusion tolerance are fixed: Pose's
+    default height, scene.MAX_RANGE, explore.CELL_SIZE and the default of
+    project_instance_masks."""
 
     scene_file: str | None = None
     scene_params: SceneParams = field(default_factory=SceneParams)
@@ -110,7 +112,7 @@ def load_run(run_dir) -> tuple[RunConfig, SceneSpec, Trajectory]:
     config.json, scene.json and trajectory.jsonl must each match its sha256
     in MANIFEST.json, else ValueError names the file, as it does for a
     missing or malformed MANIFEST.json. Frames are re-rendered from the
-    scene, the recorded poses and the run's camera.
+    scene, the recorded poses and the run's camera, masks at its size.
     """
     run = Path(run_dir)
     hashes = _manifest_files(run)
@@ -125,7 +127,8 @@ def load_run(run_dir) -> tuple[RunConfig, SceneSpec, Trajectory]:
         record = json.loads(line)
         frames.append(render_frame(scene, Pose.from_json(record["pose"]),
                                    config.camera))
-        detections.append(DetectionSet.from_json(record["detections"]))
+        detections.append(DetectionSet.from_json(
+            record["detections"], (config.camera.height, config.camera.width)))
     return config, scene, Trajectory(frames=frames, detections=detections)
 
 

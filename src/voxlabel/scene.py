@@ -18,6 +18,9 @@ from .serialize import JsonDataclass, canonical_dumps, write_atomic
 CLASS_NAMES = ("toilet", "couch", "bed", "dining table", "potting plant", "tv")
 NUM_CLASSES = len(CLASS_NAMES)
 
+# Sensing range (m): the renderer's default and the occupancy grid's ray length.
+MAX_RANGE = 10.0
+
 # Nominal object footprints (dx, dy, height) in meters, per class.
 CLASS_SIZES = (
     (0.5, 0.5, 0.8),    # toilet
@@ -173,6 +176,16 @@ class FrameObservation:
     gt_instance: np.ndarray  # (H, W) int32, NO_INSTANCE where not an object
 
 
+def visible_instances(frame: FrameObservation, min_pixels: int) -> list:
+    """(gt_id, mask) of each object covering at least min_pixels pixels of
+    frame, by ascending gt_id: the instances a detector can see."""
+    ids, counts = np.unique(frame.gt_instance[frame.gt_instance >= 0],
+                            return_counts=True)
+    return [(gt_id, frame.gt_instance == gt_id)
+            for gt_id, n_px in zip(ids.tolist(), counts.tolist())
+            if n_px >= min_pixels]
+
+
 @dataclass(frozen=True)
 class SceneParams(JsonDataclass):
     """Scene-generation knobs, a JsonDataclass; counts are per-class inclusive ranges."""
@@ -268,7 +281,7 @@ def generate_scene(params: SceneParams, seed: int) -> SceneSpec:
 
 
 def render_frame(scene: SceneSpec, pose: Pose, K: CameraIntrinsics,
-                 max_range: float = 10.0) -> FrameObservation:
+                 max_range: float = MAX_RANGE) -> FrameObservation:
     """Nearest ray/box hit per pixel by the slab method, box by box over its spans.
 
     Needs zero camera pitch and roll and axis-aligned boxes, so that a column

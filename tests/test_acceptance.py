@@ -265,8 +265,8 @@ class TestAcceptance:
         frames = [render_frame(scene, p, CAM) for p in poses]
         from voxlabel.detector import simulate_detections
         det0 = simulate_detections(frames[0], scene, NoiseModel.noiseless(),
-                                   np.random.default_rng(0), frame_index=0)
-        det1 = DetectionSet(1, [], [])          # forced frame-2 dropout
+                                   np.random.default_rng(0))
+        det1 = DetectionSet([], [])             # forced frame-2 dropout
         traj = Trajectory(frames=frames, detections=[det0, det1])
         vmap = SemanticVoxelMap()
         for frame, dets in zip(traj.frames, traj.detections):

@@ -9,7 +9,7 @@ from voxlabel.consensus import (DEFAULT_VOXEL_SIZE, InstanceRecord,
                                 SemanticVoxelMap, accumulate_frame,
                                 consistent_logits, extract_instances,
                                 finalize_map, resolve_voxels)
-from voxlabel.detector import Detection, DetectionSet, NoiseModel, mask_bbox
+from voxlabel.detector import Detection, DetectionSet, NoiseModel
 from voxlabel.explore import run_episode
 from voxlabel.reproject import build_pseudo_dataset
 from voxlabel.scene import (FrameObservation, Pose, SceneParams,
@@ -48,10 +48,8 @@ def instance(keys, class_id=0):
                           voxels=np.array(sorted(set(keys)), dtype=np.int64))
 
 
-def full_mask_detection(shape, class_id=1, score=0.9):
-    mask = np.ones(shape, dtype=bool)
-    return Detection(mask=mask, bbox=mask_bbox(mask), class_id=class_id,
-                     logits=logits_for(class_id), score=score)
+def full_mask_detection(shape, class_id=1):
+    return Detection(mask=np.ones(shape, dtype=bool), logits=logits_for(class_id))
 
 
 class TestAccumulate:
@@ -62,11 +60,10 @@ class TestAccumulate:
                                  depth=depth, gt_instance=np.full(depth.shape, -1,
                                                                   dtype=np.int32))
         mask = depth > 0
-        det = Detection(mask=mask, bbox=mask_bbox(mask), class_id=2,
-                        logits=logits_for(2), score=0.8)
+        det = Detection(mask=mask, logits=logits_for(2))
         vmap = SemanticVoxelMap()
         accumulate_frame(vmap, frame,
-                         DetectionSet(0, [det], [0]), cam)
+                         DetectionSet([det], [0]), cam)
         # principal ray at depth 2 hits world (2, 0, 1.25)
         want = tuple(np.floor(np.array([2.0, 0.0, 1.25])
                               / DEFAULT_VOXEL_SIZE).astype(int))
@@ -84,7 +81,7 @@ class TestAccumulate:
                                                      dtype=np.int32))
         det = full_mask_detection(depth.shape, class_id=3)
         vmap = SemanticVoxelMap()
-        accumulate_frame(vmap, frame, DetectionSet(5, [det], [0]), cam_small)
+        accumulate_frame(vmap, frame, DetectionSet([det], [0]), cam_small)
 
         # oracle: lift every valid pixel one by one
         want: dict = {}
@@ -107,7 +104,7 @@ class TestAccumulate:
                                                      dtype=np.int32))
         det = full_mask_detection(depth.shape)
         vmap = SemanticVoxelMap()
-        accumulate_frame(vmap, frame, DetectionSet(0, [det], [0]), cam)
+        accumulate_frame(vmap, frame, DetectionSet([det], [0]), cam)
         assert vmap.observations == []
         resolve_voxels(vmap)
         assert len(vmap.voxels) == 0
@@ -121,7 +118,7 @@ class TestAccumulate:
                                                      dtype=np.int32))
         with pytest.raises(ValueError):
             accumulate_frame(vmap, frame,
-                             DetectionSet(0, [full_mask_detection(depth.shape)],
+                             DetectionSet([full_mask_detection(depth.shape)],
                                           [0]), cam)
 
     @pytest.mark.parametrize("voxel_size", [0.0, -0.05])
@@ -160,7 +157,7 @@ class TestResolve:
         resolve_voxels(vmap)
         assert voxel_labels(vmap)[key][0] == 2
 
-    def test_full_tie_earlier_frame(self):
+    def test_equal_score_same_class_resolves_to_it(self):
         vmap = SemanticVoxelMap()
         key = (0, 0, 0)
         add_obs(vmap, [key], class_id=4, score=0.7)
@@ -362,7 +359,7 @@ class TestPipelineLevel:
         """Two views of the same wallish blob, plus a conflicting detection."""
         rng = np.random.default_rng(0)
         frames = []
-        for i, yaw in enumerate([0.0, 0.05]):
+        for yaw in [0.0, 0.05]:
             depth = np.full((cam_small.height, cam_small.width), 2.0)
             pose = Pose(0.0, 0.0, yaw, camera_height=1.25)
             frame = FrameObservation(pose=pose, depth=depth,
@@ -371,9 +368,8 @@ class TestPipelineLevel:
             mask = np.zeros(depth.shape, dtype=bool)
             mask[3:9, 4:12] = True
             noise = rng.normal(0, 0.1, 6)
-            det = Detection(mask=mask, bbox=mask_bbox(mask), class_id=2,
-                            logits=logits_for(2) + noise, score=0.8 + 0.05 * i)
-            frames.append((frame, DetectionSet(i, [det], [0])))
+            det = Detection(mask=mask, logits=logits_for(2) + noise)
+            frames.append((frame, DetectionSet([det], [0])))
         return frames
 
     def test_finalize_end_to_end(self, cam_small):

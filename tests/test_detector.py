@@ -211,10 +211,10 @@ class TestSerialization:
         pose = Pose(x=0.5, y=0.0, yaw=0.0, camera_height=1.25)
         frame = render_frame(visible_scene, pose, cam)
         out = simulate_detections(frame, visible_scene, NoiseModel.noiseless(),
-                                  np.random.default_rng(0), frame_index=4)
-        back = DetectionSet.from_json(out.to_json())
-        assert back.frame_index == 4
-        for a, b in zip(out.detections, back.detections):
+                                  np.random.default_rng(0))
+        back = DetectionSet.from_json(out.to_json(), (cam.height, cam.width))
+        assert back.secret_gt_ids == out.secret_gt_ids
+        for a, b in zip(out.detections, back.detections, strict=True):
             assert (a.mask == b.mask).all()
-            assert a.bbox == b.bbox
-            assert np.allclose(a.logits, b.logits)
+            assert a.logits.tobytes() == b.logits.tobytes()
+            assert (a.bbox, a.class_id, a.score) == (b.bbox, b.class_id, b.score)

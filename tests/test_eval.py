@@ -189,12 +189,11 @@ class TestEvaluatePseudoLabels:
         assert pseudo_disagreement(PseudoDataset(frames=[[]])) == 0.0
 
 
-def detections_of(frame_index, pairs):
+def detections_of(pairs):
     """DetectionSet of one-pixel detections, one per (class_id, gt_id)."""
-    return DetectionSet(frame_index, [
-        Detection(np.ones((1, 1), dtype=bool), (0, 0, 0, 0), class_id,
-                  np.eye(6)[class_id], 0.9) for class_id, _ in pairs],
-        [gt_id for _, gt_id in pairs])
+    return DetectionSet([Detection(np.ones((1, 1), dtype=bool), np.eye(6)[class_id])
+                         for class_id, _ in pairs],
+                        [gt_id for _, gt_id in pairs])
 
 
 @pytest.mark.parametrize("frames, want", [
@@ -205,7 +204,6 @@ def detections_of(frame_index, pairs):
 ], ids=["split", "unanimous", "none"])
 def test_raw_consistency_stats(frames, want):
     traj = Trajectory(frames=[None] * len(frames),
-                      detections=[detections_of(i, pairs)
-                                  for i, pairs in enumerate(frames)])
+                      detections=[detections_of(pairs) for pairs in frames])
     got = raw_consistency_stats(traj)
     assert (got["instances_detected"], got["raw_disagreement_fraction"]) == want

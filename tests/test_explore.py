@@ -43,7 +43,7 @@ class TestUpdateOccupancy:
         pose = Pose(x=15.0, y=15.0, yaw=0.0, camera_height=1.25)
         frame = render_frame(scene, pose, cam)
         grid = OccupancyGrid.for_scene(scene)
-        update_occupancy(grid, frame, cam, max_range=10.0)
+        update_occupancy(grid, frame, cam)
         assert not (grid.cells == OCCUPIED).any()
         half_fov = math.atan((cam.width / 2) / cam.fx)
         rows, cols = np.nonzero(grid.cells == FREE)
@@ -412,10 +412,10 @@ REFERENCE_NOISE = NoiseModel.uniform_confusion(
 # default scene of each seed. A goal-search or occupancy change that moves
 # any pose or detection changes these.
 TRAJECTORY_SHA256 = {
-    ("frontier", 0): "887276abbee5d056d45bf98637e1036ca61112cb323fd40d925346c0ea5fd548",
-    ("frontier", 4): "f2c88323584497e5a0307c1a127b8e8d472657b6ff5c9e08a0c766f3976bcd72",
-    ("random", 0): "2769a187f96e051a957b3d9479827eea8eca67ea2d283fbf0b9abd6d96b53241",
-    ("random", 4): "6ef0e6209cd76b632947247ecadc8943e0fe9ece977e7d9de9fab45ef2ef2bb6",
+    ("frontier", 0): "28137c4c0dcf4e5cc9fe3eac18a92f87c6e55bac2b17ce05956e1414d125df49",
+    ("frontier", 4): "2c7d1df51fd4418cf4784cd102a46912260649643b6222f57de69475466c804b",
+    ("random", 0): "38fb8f2ef702bbbcc0261cdc68d16dfbeac552e578d03b0ac8f7c0f71e2cf221",
+    ("random", 4): "d16f89a9bb29aa5c716480ef477ba3fece49c5b1e01c9f1de8bb8cb47108bb06",
 }
 
 

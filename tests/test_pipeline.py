@@ -9,6 +9,7 @@ import pytest
 
 from voxlabel import pipeline
 from voxlabel.detector import NoiseModel
+from voxlabel.evaluate import evaluate_pseudo_labels
 from voxlabel.losses import TrainConfig
 from voxlabel.pipeline import (RunConfig, StageError, build_labels,
                                config_hash, load_run, run_grid, run_pipeline)
@@ -172,8 +173,15 @@ class TestLoadRun:
         recorded = record_episodes(monkeypatch)
         config = small_config(steps=30)
         run_pipeline(config, tmp_path)
+        n_detections = 0
         for line in (tmp_path / "trajectory.jsonl").read_text().splitlines():
-            assert set(json.loads(line)) == {"pose", "detections"}
+            record = json.loads(line)
+            assert set(record) == {"pose", "detections"}
+            assert set(record["detections"]) == {"detections", "secret_gt_ids"}
+            for det in record["detections"]["detections"]:
+                assert set(det) == {"logits", "mask_rle"}
+                n_detections += 1
+        assert n_detections > 0
 
         loaded, scene, trajectory = load_run(tmp_path)
         assert loaded == config
@@ -187,6 +195,15 @@ class TestLoadRun:
             assert got.gt_instance.tobytes() == want.gt_instance.tobytes()
         assert [d.to_json() for d in trajectory.detections] \
             == [d.to_json() for d in episode.detections]
+        for got, want in zip(trajectory.detections, episode.detections):
+            assert got.secret_gt_ids == want.secret_gt_ids
+            assert [(d.bbox, d.class_id, d.score) for d in got.detections] \
+                == [(d.bbox, d.class_id, d.score) for d in want.detections]
+        raw = evaluate_pseudo_labels(trajectory.detections, trajectory, scene,
+                                     loaded.camera,
+                                     min_pixels=loaded.noise.min_pixels)
+        eval_json = json.loads((tmp_path / "eval.json").read_text())
+        assert round(raw.map50, 9) == eval_json["raw"]["map50"]
 
         dataset = build_pseudo_dataset(
             trajectory, build_labels(trajectory, loaded), loaded.camera)

@@ -5,9 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from voxlabel.scene import (Box, CameraIntrinsics, ObjectInstance, Pose,
-                            SceneInfeasibleError, SceneParams, SceneSpec,
-                            generate_scene, pixel_to_world, render_frame,
+from voxlabel.scene import (Box, CameraIntrinsics, FrameObservation,
+                            ObjectInstance, Pose, SceneInfeasibleError,
+                            SceneParams, SceneSpec, generate_scene,
+                            pixel_to_world, render_frame, visible_instances,
                             world_to_pixel)
 
 from oracles import project_homogeneous, ray_march_depth, slab_render
@@ -204,6 +205,22 @@ class TestRenderFrame:
         frame = render_frame(box_scene, pose, cam)
         ids = set(np.unique(frame.gt_instance)) - {-1}
         assert ids <= {o.gt_id for o in box_scene.objects}
+
+
+@pytest.mark.parametrize("min_pixels, want", [(1, [0, 2, 7]), (3, [0, 2]),
+                                              (4, [2]), (6, [])])
+def test_visible_instances_ascending_above_floor(min_pixels, want):
+    gt = np.full((3, 4), -1, dtype=np.int32)
+    gt[0, 0] = 7            # 1 pixel, first in row-major order
+    gt[:2, 1:3] = 2         # 4 pixels
+    gt[2, :3] = 0           # 3 pixels, last
+    frame = FrameObservation(pose=Pose(0, 0, 0), depth=np.ones(gt.shape),
+                             gt_instance=gt)
+    got = visible_instances(frame, min_pixels)
+    assert [gt_id for gt_id, _ in got] == want
+    for gt_id, mask in got:
+        assert type(gt_id) is int
+        assert np.array_equal(mask, gt == gt_id)
 
 
 class TestCameraModel:
