@@ -57,7 +57,7 @@ class Observation(NamedTuple):
     score: float
 
 
-@dataclass
+@dataclass(eq=False)
 class InstanceRecord:
     """One extracted 3D instance."""
 

@@ -72,7 +72,7 @@ class NoiseModel(JsonDataclass):
         return cls(confusion=conf, **kwargs)
 
 
-@dataclass
+@dataclass(eq=False)
 class Detection:
     """One detected instance: a boolean mask and raw class logits.
 
@@ -105,7 +105,7 @@ class Detection:
                    logits=np.array(d["logits"], dtype=float))
 
 
-@dataclass
+@dataclass(eq=False)
 class DetectionSet:
     """Detections for one frame; a trajectory's list index is its frame.
 

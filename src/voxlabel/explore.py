@@ -35,7 +35,7 @@ FORWARD_STEP = 0.25
 TURN_STEP = math.radians(10.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class OccupancyGrid:
     """2D grid over the scene footprint; origin is the world xy of cell (0,0)."""
 
@@ -71,7 +71,7 @@ class AgentState:
     pose: Pose
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Ordered (observation, detections) pairs for steps 0..N-1."""
 

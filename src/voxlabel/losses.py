@@ -19,7 +19,7 @@ from .scene import NUM_CLASSES
 from .serialize import JsonDataclass
 
 
-@dataclass
+@dataclass(eq=False)
 class LossValue:
     value: float
     grads: dict = field(default_factory=dict)
@@ -38,41 +38,42 @@ def triplet_loss(features: np.ndarray, uids, margin: float = 0.3) -> LossValue:
     share a uid, negative differs; batch-all mining, Hermans et al. 2017,
     arXiv:1703.07737). Returns 0 with zero gradients when no triplet is
     active. Gradient w.r.t. features under key "features"; subgradient 0 is
-    used at zero distances and inactive triplets. Memory is O(k^2 + active
-    triplets): distances are built a block of anchors at a time, each
-    anchor's (positives x negatives) block alone.
+    used at zero distances and inactive triplets. Mining takes the
+    (anchor, positive) pairs in lexicographic order, drops each pair whose
+    nearest negative gives no active term (then no negative does), and
+    expands the rest against every negative, so triplets come in (a, p, n)
+    order. Memory is O(k^2 + 2**16 + active triplets): distances are built a
+    block of anchors at a time and pairs are expanded 2**16 candidates at a
+    time.
     """
     f = np.asarray(features, dtype=float)
     _check_finite(f, "invalid features")
     uids = np.asarray(uids)
     k = f.shape[0]
-    grads = np.zeros_like(f)
-    if k < 2:
-        return LossValue(0.0, {"features": grads})
-
     dist = np.empty((k, k))
     rows = max(1, 2**16 // max(f.size, 1))   # anchors per 2**16 differences
     for lo in range(0, k, rows):
         diff = f[lo:lo + rows, None, :] - f[None, :, :]
         dist[lo:lo + rows] = np.sqrt(np.sum(diff * diff, axis=-1))
     same = uids[:, None] == uids[None, :]
+    nearest_neg = dist.min(axis=1, where=~same, initial=np.inf)
 
-    # active entries of each anchor's block, concatenated in (a, p, n) order
-    A, P, N, terms = [], [], [], []
-    for a in range(k):
-        pos = np.flatnonzero(same[a])
-        pos = pos[pos != a]
-        neg = np.flatnonzero(~same[a])
-        block = dist[a, pos][:, None] - dist[a, neg] + margin
-        pi, ni = np.nonzero(block > 0)
-        A.append(np.full(pi.size, a))
-        P.append(pos[pi])
-        N.append(neg[ni])
-        terms.append(block[pi, ni])
-    A, P, N = np.concatenate(A), np.concatenate(P), np.concatenate(N)
+    # Exact filter: rounded x - y never grows as y grows, so a pair whose
+    # nearest negative is inactive has no active negative at all.
+    A, P = np.nonzero(same & ~np.eye(k, dtype=bool))
+    live = dist[A, P] - nearest_neg[A] + margin > 0
+    A, P = A[live], P[live]
     if A.size == 0:
-        return LossValue(0.0, {"features": grads})
-    value = float(np.concatenate(terms).mean())
+        return LossValue(0.0, {"features": np.zeros_like(f)})
+    pairs = max(1, 2**16 // k)               # pairs per 2**16 candidates
+    blocks = []
+    for lo in range(0, A.size, pairs):
+        a, p = A[lo:lo + pairs], P[lo:lo + pairs]
+        block = dist[a, p][:, None] - dist[a] + margin
+        i, n = np.nonzero((block > 0) & ~same[a])
+        blocks.append((a[i], p[i], n, block[i, n]))
+    A, P, N, terms = (np.concatenate(c) for c in zip(*blocks))
+    value = float(terms.mean())
     n_active = A.size
 
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -80,10 +81,14 @@ def triplet_loss(features: np.ndarray, uids, margin: float = 0.3) -> LossValue:
                         (f[A] - f[P]) / np.maximum(dist[A, P][:, None], 1e-300), 0.0)
         u_an = np.where(dist[A, N][:, None] > 0,
                         (f[A] - f[N]) / np.maximum(dist[A, N][:, None], 1e-300), 0.0)
-    np.add.at(grads, A, (u_ap - u_an) / n_active)
-    np.add.at(grads, P, -u_ap / n_active)
-    np.add.at(grads, N, u_an / n_active)
-    return LossValue(value, {"features": grads})
+    # bincount adds in index order: each element sums its anchor, then its
+    # positive, then its negative terms, each in triplet order
+    d = f.shape[1]
+    flat = np.concatenate([A, P, N])[:, None] * d + np.arange(d)
+    contrib = np.concatenate([(u_ap - u_an) / n_active, -u_ap / n_active,
+                              u_an / n_active])
+    grads = np.bincount(flat.ravel(), contrib.ravel(), minlength=f.size)
+    return LossValue(value, {"features": grads.reshape(f.shape)})
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
@@ -237,10 +242,12 @@ def toy_finetune(dataset, K, config: TrainConfig) -> dict:
 
     The head is a linear classifier (features -> 6 logits), a linear box
     regressor, and a linear embedding used by the instance-matching term.
-    Mini-batch SGD with momentum and weight decay, deterministic given the
-    config seed. Hard labels are optionally flipped (label_flip_prob) while
-    soft targets keep the consensus probabilities; held-out accuracy is
-    measured against the unflipped classes.
+    Mini-batch SGD with momentum and weight decay, stepping the parameters
+    and velocities in place; deterministic given the config seed. Hard
+    labels are optionally flipped (label_flip_prob) while soft targets keep
+    the consensus probabilities; held-out accuracy is measured against the
+    unflipped classes. The instance-matching term is 0, and costs little,
+    in a batch without an active triplet.
     """
     n_total = sum(len(f) for f in dataset.frames)
     if n_total == 0:
@@ -295,9 +302,11 @@ def toy_finetune(dataset, K, config: TrainConfig) -> dict:
             "b_box": g_box.sum(axis=0),
             "W_emb": g_emb.T @ F,
         }
-        for k in params:
-            g = grads[k] + _WEIGHT_DECAY * params[k]
-            velocity[k] = _MOMENTUM * velocity[k] - config.lr * g
+        for k, g in grads.items():   # in place, the same IEEE operations
+            g += _WEIGHT_DECAY * params[k]
+            g *= config.lr
+            velocity[k] *= _MOMENTUM
+            velocity[k] -= g
             params[k] += velocity[k]
 
     per_epoch = []

@@ -39,7 +39,7 @@ def _window_min(image: np.ndarray, r: int) -> np.ndarray:
     return image
 
 
-@dataclass
+@dataclass(eq=False)
 class PseudoLabel:
     """Reprojected consistent annotation for one instance in one frame."""
 
@@ -50,7 +50,7 @@ class PseudoLabel:
     bbox: tuple             # (u_min, v_min, u_max, v_max)
 
 
-@dataclass
+@dataclass(eq=False)
 class PseudoDataset:
     """Per-frame pseudo-label lists, aligned with the trajectory."""
 

@@ -164,7 +164,7 @@ class Pose(JsonDataclass):
 NO_INSTANCE = -1
 
 
-@dataclass
+@dataclass(eq=False)
 class FrameObservation:
     """Per-step sensor bundle: pose, planar z-depth image, gt instance-id image.
 

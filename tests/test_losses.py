@@ -91,6 +91,48 @@ class TestTripletLoss:
                 f"trial {trial}"
 
 
+    def test_matches_oracle_across_pair_blocks(self):
+        # live (anchor, positive) pairs are expanded 2**16 // k at a time;
+        # the larger batches here need several such blocks
+        rng = np.random.default_rng(29)
+        blocks = []
+        for k, n_uids, margin in ((40, 2, 0.3), (64, 3, 0.0), (70, 2, 2.0),
+                                  (90, 3, 0.3)):
+            f = rng.normal(0, 1.0, (k, 3))
+            f[rng.integers(0, k, k // 5)] = f[int(rng.integers(0, k))]
+            uids = rng.integers(0, n_uids, k)
+            out = triplet_loss(f, uids, margin=margin)
+            value, grad = batch_all_triplet(f, uids, margin=margin)
+            assert out.value == value, k
+            assert out.grads["features"].tobytes() == grad.tobytes(), k
+            dist = np.linalg.norm(f[:, None] - f[None], axis=-1)
+            same = uids[:, None] == uids[None]
+            nearest = np.where(same, np.inf, dist).min(axis=1)
+            live = (dist - nearest[:, None] + margin > 0) & same & ~np.eye(k, dtype=bool)
+            blocks.append(-(-int(live.sum()) // (2**16 // k)))
+        assert max(blocks) >= 3, blocks
+
+    def test_zero_term_at_nearest_negative_is_inactive(self):
+        # a=0, p=-0.5, n=1: 0.5 - 1.0 + 0.5 is exactly 0, so nothing is active
+        f = np.array([[0.0], [-0.5], [1.0]])
+        out = triplet_loss(f, [0, 0, 1], margin=0.5)
+        assert out.value == 0.0
+        assert not out.grads["features"].any()
+        # a margin one step larger makes exactly that triplet active
+        out = triplet_loss(f, [0, 0, 1], margin=np.nextafter(0.5, 1.0))
+        assert out.value > 0.0
+        assert out.grads["features"].any()
+
+    def test_large_batch_without_live_pair(self):
+        rng = np.random.default_rng(31)
+        uids = np.repeat(np.arange(8), 40)
+        f = uids[:, None] * 5.0 + rng.normal(0, 0.01, (320, 16))
+        out = triplet_loss(f, uids, margin=0.3)
+        assert out.value == 0.0
+        assert out.grads["features"].shape == f.shape
+        assert not out.grads["features"].any()
+
+
 class TestDistillLoss:
     def test_uniform_logits_onehot_target(self):
         # two classes, logits (0, 0), target (1, 0): loss = ln 2

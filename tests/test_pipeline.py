@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import voxlabel
 from voxlabel import pipeline
 from voxlabel.detector import NoiseModel
 from voxlabel.evaluate import evaluate_pseudo_labels
@@ -15,7 +16,7 @@ from voxlabel.pipeline import (RunConfig, StageError, build_labels,
                                config_hash, load_run, run_grid, run_pipeline)
 from voxlabel.reproject import build_pseudo_dataset, dataset_to_coco
 from voxlabel.scene import Box, SceneParams, SceneSpec
-from voxlabel.serialize import canonical_dumps
+from voxlabel.serialize import canonical_dumps, sha256_file
 
 
 def small_config(**kw):
@@ -48,7 +49,6 @@ class TestRunPipeline:
         assert set(manifest["files"]) == set(EXPECTED_FILES) - {"MANIFEST.json"}
 
     def test_manifest_hashes_match_files(self, tmp_path):
-        from voxlabel.serialize import sha256_file
         manifest = run_pipeline(small_config(steps=5), tmp_path)
         for name, digest in manifest["files"].items():
             assert sha256_file(tmp_path / name) == digest
@@ -73,6 +73,18 @@ class TestRunPipeline:
         assert report["alpha"] == 0.7
         assert len(report["per_epoch"]) == 3      # epoch 0 + 2 epochs
         assert 0.0 <= report["final_accuracy"] <= 1.0
+
+    def test_train_report_bytes_pinned(self, tmp_path):
+        # sha256 of train_report.json; loss_im falls 0.75 -> 0.42 over the
+        # epochs, so the triplet term's gradient drives these bytes
+        config = RunConfig(steps=60, seed=0, train=True,
+                           train_config=TrainConfig(feature_dim=64,
+                                                    feature_noise=1.0, epochs=3))
+        run_pipeline(config, tmp_path)
+        report = json.loads((tmp_path / "train_report.json").read_text())
+        assert report["per_epoch"][-1]["loss_im"] > 0.4
+        assert sha256_file(tmp_path / "train_report.json") == (
+            "2a5770eb612ab21c92e1a7e663ce53f3a82b68ca7ea3cc6c1e21a253b349cd24")
 
     def test_stage_error_marks_manifest(self, tmp_path):
         config = small_config(scene_file=str(tmp_path / "missing.json"))
@@ -330,7 +342,7 @@ class TestRunConfig:
             RunConfig.from_json(data)
 
     def test_load_from_file(self, tmp_path):
-        from voxlabel.serialize import canonical_dumps
+        from voxlabel.serialize import canonical_dumps, sha256_file
         config = small_config(seed=17)
         path = tmp_path / "config.json"
         path.write_text(canonical_dumps(config.to_json()))
@@ -569,3 +581,32 @@ class TestRunGrid:
         with pytest.raises(ValueError, match=axis):
             run_grid(small_config(steps=1), out_root=tmp_path, **axes)
         assert not list(tmp_path.iterdir())
+
+
+def _array_holders():
+    """A fresh instance of each dataclass that holds arrays; two calls give
+    distinct instances with equal contents."""
+    mask = np.eye(4, dtype=bool)
+    logits = np.arange(6.0)
+    det = voxlabel.Detection(mask.copy(), logits.copy())
+    dets = voxlabel.DetectionSet([det], [3])
+    label = voxlabel.PseudoLabel(uid=0, class_id=5, lambda_bar=logits / 15,
+                                 mask=mask.copy(), bbox=(0, 0, 3, 3))
+    frame = voxlabel.FrameObservation(voxlabel.Pose(1.0, 2.0, 0.0),
+                                      np.ones((4, 4)),
+                                      np.zeros((4, 4), dtype=np.int32))
+    return [det, dets, label, voxlabel.PseudoDataset(frames=[[label]]), frame,
+            voxlabel.InstanceRecord(0, 5, np.zeros((2, 3), dtype=np.int64),
+                                    logits.copy()),
+            voxlabel.OccupancyGrid(0.1, np.zeros((3, 3), dtype=np.uint8),
+                                   (0.0, 0.0)),
+            voxlabel.Trajectory(frames=[frame], detections=[dets]),
+            voxlabel.LossValue(1.0, {"features": logits.copy()})]
+
+
+@pytest.mark.parametrize("i", range(len(_array_holders())),
+                         ids=[type(x).__name__ for x in _array_holders()])
+def test_array_holders_compare_by_identity(i):
+    a, b = _array_holders()[i], _array_holders()[i]
+    assert a == a and a != b
+    assert b in [a, b] and [a, b].index(b) == 1
