@@ -50,6 +50,7 @@ def triplet_loss(features: np.ndarray, uids, margin: float = 0.3) -> LossValue:
     _check_finite(f, "invalid features")
     uids = np.asarray(uids)
     k = f.shape[0]
+    grads = np.zeros_like(f)
     dist = np.empty((k, k))
     rows = max(1, 2**16 // max(f.size, 1))   # anchors per 2**16 differences
     for lo in range(0, k, rows):
@@ -64,7 +65,7 @@ def triplet_loss(features: np.ndarray, uids, margin: float = 0.3) -> LossValue:
     live = dist[A, P] - nearest_neg[A] + margin > 0
     A, P = A[live], P[live]
     if A.size == 0:
-        return LossValue(0.0, {"features": np.zeros_like(f)})
+        return LossValue(0.0, {"features": grads})
     pairs = max(1, 2**16 // k)               # pairs per 2**16 candidates
     blocks = []
     for lo in range(0, A.size, pairs):
@@ -81,14 +82,10 @@ def triplet_loss(features: np.ndarray, uids, margin: float = 0.3) -> LossValue:
                         (f[A] - f[P]) / np.maximum(dist[A, P][:, None], 1e-300), 0.0)
         u_an = np.where(dist[A, N][:, None] > 0,
                         (f[A] - f[N]) / np.maximum(dist[A, N][:, None], 1e-300), 0.0)
-    # bincount adds in index order: each element sums its anchor, then its
-    # positive, then its negative terms, each in triplet order
-    d = f.shape[1]
-    flat = np.concatenate([A, P, N])[:, None] * d + np.arange(d)
-    contrib = np.concatenate([(u_ap - u_an) / n_active, -u_ap / n_active,
-                              u_an / n_active])
-    grads = np.bincount(flat.ravel(), contrib.ravel(), minlength=f.size)
-    return LossValue(value, {"features": grads.reshape(f.shape)})
+    np.add.at(grads, A, (u_ap - u_an) / n_active)
+    np.add.at(grads, P, -u_ap / n_active)
+    np.add.at(grads, N, u_an / n_active)
+    return LossValue(value, {"features": grads})
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
@@ -242,12 +239,11 @@ def toy_finetune(dataset, K, config: TrainConfig) -> dict:
 
     The head is a linear classifier (features -> 6 logits), a linear box
     regressor, and a linear embedding used by the instance-matching term.
-    Mini-batch SGD with momentum and weight decay, stepping the parameters
-    and velocities in place; deterministic given the config seed. Hard
-    labels are optionally flipped (label_flip_prob) while soft targets keep
-    the consensus probabilities; held-out accuracy is measured against the
-    unflipped classes. The instance-matching term is 0, and costs little,
-    in a batch without an active triplet.
+    Mini-batch SGD with momentum and weight decay, deterministic given the
+    config seed. Hard labels are optionally flipped (label_flip_prob) while
+    soft targets keep the consensus probabilities; held-out accuracy is
+    measured against the unflipped classes. The instance-matching term is
+    0, and costs little, in a batch without an active triplet.
     """
     n_total = sum(len(f) for f in dataset.frames)
     if n_total == 0:
@@ -302,11 +298,9 @@ def toy_finetune(dataset, K, config: TrainConfig) -> dict:
             "b_box": g_box.sum(axis=0),
             "W_emb": g_emb.T @ F,
         }
-        for k, g in grads.items():   # in place, the same IEEE operations
-            g += _WEIGHT_DECAY * params[k]
-            g *= config.lr
-            velocity[k] *= _MOMENTUM
-            velocity[k] -= g
+        for k in params:
+            g = grads[k] + _WEIGHT_DECAY * params[k]
+            velocity[k] = _MOMENTUM * velocity[k] - config.lr * g
             params[k] += velocity[k]
 
     per_epoch = []

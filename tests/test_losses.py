@@ -90,7 +90,6 @@ class TestTripletLoss:
             assert out.grads["features"].tobytes() == grad.tobytes(), \
                 f"trial {trial}"
 
-
     def test_matches_oracle_across_pair_blocks(self):
         # live (anchor, positive) pairs are expanded 2**16 // k at a time;
         # the larger batches here need several such blocks

@@ -342,7 +342,7 @@ class TestRunConfig:
             RunConfig.from_json(data)
 
     def test_load_from_file(self, tmp_path):
-        from voxlabel.serialize import canonical_dumps, sha256_file
+        from voxlabel.serialize import canonical_dumps
         config = small_config(seed=17)
         path = tmp_path / "config.json"
         path.write_text(canonical_dumps(config.to_json()))
