@@ -42,7 +42,8 @@ def _pack(keys) -> np.ndarray:
     if k.size and (k.min() <= -_KEY_LIMIT or k.max() >= _KEY_LIMIT):
         raise ValueError(f"voxel keys must lie within +-{_KEY_LIMIT - 1} of the "
                          f"origin; use a larger voxel_size")
-    return ((k + _KEY_OFFSET) << _SHIFTS).sum(axis=1)
+    k = k + _KEY_OFFSET
+    return k[:, 0] << 2 * _AXIS_BITS | k[:, 1] << _AXIS_BITS | k[:, 2]
 
 
 # the 13 neighbour offsets that follow (0, 0, 0) in lexicographic order; each
@@ -93,9 +94,11 @@ class SemanticVoxelMap:
         """Record one detection covering the (n, 3) voxel keys; returns its id."""
         if self.resolved:
             raise ValueError("cannot accumulate into a resolved map")
+        k = np.sort(_pack(keys))   # unique by neighbour compare: faster than a hash
+        first = np.ones(len(k), dtype=bool)
+        np.not_equal(k[1:], k[:-1], out=first[1:])
         self.observations.append(Observation(
-            np.unique(_pack(keys)), np.asarray(logits, dtype=float),
-            float(score)))
+            k[first], np.asarray(logits, dtype=float), float(score)))
         return len(self.observations) - 1
 
 
@@ -108,13 +111,12 @@ def accumulate_frame(vmap: SemanticVoxelMap, frame: FrameObservation,
     """
     if vmap.resolved:
         raise ValueError("cannot accumulate into a resolved map")
+    seen = frame.depth > 0
     for det in dets.detections:
-        vs, us = np.nonzero(det.mask)
-        d = frame.depth[vs, us]
-        valid = d > 0
-        if not valid.any():
+        vs, us = np.nonzero(det.mask & seen)
+        if not len(us):
             continue
-        pts = pixel_to_world(us[valid], vs[valid], d[valid], K, frame.pose)
+        pts = pixel_to_world(us, vs, frame.depth[vs, us], K, frame.pose)
         vmap.add_observation(np.floor(pts / vmap.voxel_size).astype(np.int64),
                              det.logits, det.score)
     return vmap

@@ -130,10 +130,10 @@ class DetectionSet:
 
 def mask_bbox(mask: np.ndarray) -> tuple:
     """Minimum (u_min, v_min, u_max, v_max) rectangle of a boolean mask."""
-    vs, us = np.nonzero(mask)
+    us, vs = np.flatnonzero(mask.any(axis=0)), np.flatnonzero(mask.any(axis=1))
     if us.size == 0:
         raise ValueError("empty mask")
-    return (int(us.min()), int(vs.min()), int(us.max()), int(vs.max()))
+    return (int(us[0]), int(vs[0]), int(us[-1]), int(vs[-1]))
 
 
 def _jitter_mask(mask: np.ndarray, radius: int, rng: np.random.Generator) -> np.ndarray:

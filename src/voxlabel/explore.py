@@ -103,11 +103,11 @@ def update_occupancy(grid: OccupancyGrid, frame: FrameObservation,
     MAX_RANGE, the renderer's range. Mutates and returns grid.
     """
     pose = frame.pose
-    right, _, forward = pose.basis()
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
     us = (np.arange(K.width) - K.cx) / K.fx
-    # horizontal ray directions, scaled so t equals planar depth
-    dx = forward[0] + us * right[0]
-    dy = forward[1] + us * right[1]
+    # horizontal ray directions forward + us * right, so t equals planar depth
+    dx = c + us * s
+    dy = s + us * -c
     col_depth = np.where(frame.depth > 0, frame.depth, np.inf).min(axis=0)
     hit = np.isfinite(col_depth)
     depths = np.where(hit, col_depth, MAX_RANGE)

@@ -3,9 +3,10 @@
 Each instance voxel's centre, computed once per map, is projected through the
 camera; a depth-buffer test with a small tolerance handles occlusion, and each
 accepted voxel splats its square footprint so masks stay dense. Overlaps
-resolve on one int64 key per voxel, (depth rank, uid), spread over each
+resolve on each accepted voxel's rank in (depth, uid) order, spread over each
 footprint radius by a separable square-window minimum: nearer depth wins, an
-exact tie goes to the lower uid.
+exact tie goes to the lower uid. The winning ranks are read back as uids by
+one gather.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import numpy as np
 
 from .consensus import SemanticVoxelMap
 from .detector import mask_bbox
-from .scene import CameraIntrinsics, FrameObservation, world_to_pixel
+from .scene import CLASS_NAMES, CameraIntrinsics, FrameObservation, world_to_pixel
+from .serialize import rle_encode_bool
 
-_NO_KEY = 1 << 62   # "no voxel"; above every (depth rank, uid) key
+_NO_KEY = 1 << 62   # "no voxel"; above every voxel's (depth, uid) rank
 
 
 def _window_min(image: np.ndarray, r: int) -> np.ndarray:
@@ -85,29 +87,35 @@ def project_instance_masks(vmap: SemanticVoxelMap, frame: FrameObservation,
         raise ValueError(f"occlusion_tolerance must be non-negative, got {tol}")
     H, W = K.height, K.width
     u, v, d = world_to_pixel(vmap.member_centres, K, frame.pose)
-    ui = np.round(u).astype(int)
-    vi = np.round(v).astype(int)
-    ok = (d > 0) & (ui >= 0) & (ui < W) & (vi >= 0) & (vi < H)
-    frame_d = frame.depth[vi[ok], ui[ok]]
-    ok[ok] = (frame_d > 0) & (np.abs(d[ok] - frame_d) <= tol)
-    if not ok.any():
+    # np.round halves to even, so u = W - 0.5 is in bounds when W is odd: a
+    # float window that also drops inf and NaN, then the test on the pixel
+    ok = np.flatnonzero((d > 0) & (u >= -0.5) & (u <= W - 0.5)
+                        & (v >= -0.5) & (v <= H - 0.5))
+    ui, vi = np.round(u[ok]).astype(int), np.round(v[ok]).astype(int)
+    inside = (ui < W) & (vi < H)
+    ok, ui, vi = ok[inside], ui[inside], vi[inside]
+    frame_d = frame.depth[vi, ui]
+    hit = (frame_d > 0) & (np.abs(d[ok] - frame_d) <= tol)
+    if not hit.any():
         return []
-    pix, d, owner = vi[ok] * W + ui[ok], d[ok], vmap.member_uid[ok]
+    pix, d, owner = vi[hit] * W + ui[hit], d[ok[hit]], vmap.member_uid[ok[hit]]
     radii = np.ceil(vmap.voxel_size * K.fx / (2.0 * d)).astype(int)
-    # (exact depth rank, uid) in one int64: the nearer voxel has the smaller
-    # key, and of two at the same depth the lower uid
-    n = len(vmap.instances)
-    key = np.unique(d, return_inverse=True)[1] * n + owner
+    # a voxel's rank is its position in (depth, uid) order: the nearer voxel
+    # has the smaller rank, and of two at the same depth the lower uid
+    by_rank = np.lexsort((owner, d))
+    pix, radii = pix[by_rank], radii[by_rank]
     # a centre splats pixel p iff it lies in p's (2r + 1)-square window
     best = np.full((H, W), _NO_KEY)
-    for r in np.unique(radii).tolist():
+    for r in np.flatnonzero(np.bincount(radii)).tolist():
         centre = np.full(H * W, _NO_KEY)
-        np.minimum.at(centre, pix[radii == r], key[radii == r])
+        rank = np.flatnonzero(radii == r)
+        np.minimum.at(centre, pix[rank], rank)
         best = np.minimum(best, _window_min(centre.reshape(H, W), r))
-    winner = np.where(best < _NO_KEY, best % n, -1)
+    # the winning rank's uid per pixel; _NO_KEY clips to the trailing -1
+    winner = np.take(np.append(owner[by_rank], -1), best, mode="clip")
 
     labels: list[PseudoLabel] = []
-    for uid in np.unique(winner[winner >= 0]).tolist():
+    for uid in np.flatnonzero(np.bincount(winner.ravel() + 1)[1:]).tolist():
         mask = winner == uid
         inst = vmap.instances[uid]
         labels.append(PseudoLabel(uid=uid, class_id=inst.class_id,
@@ -124,21 +132,16 @@ def build_pseudo_dataset(trajectory, vmap: SemanticVoxelMap,
     every frame where it passes the depth test, including frames whose
     detector output missed it.
     """
-    frames = [project_instance_masks(vmap, frame, K)
-              for frame in trajectory.frames]
-    return PseudoDataset(frames=frames)
+    return PseudoDataset(frames=[project_instance_masks(vmap, frame, K)
+                                 for frame in trajectory.frames])
 
 
 def dataset_to_coco(dataset: PseudoDataset, K: CameraIntrinsics) -> dict:
     """COCO-style export: images[], annotations[], categories[]."""
-    from .scene import CLASS_NAMES
-    from .serialize import rle_encode_bool
-
     images = [{"id": i, "width": K.width, "height": K.height}
               for i in range(len(dataset))]
     annotations = []
-    ann_id = 0
-    for frame_id, lab in dataset.all_labels():
+    for ann_id, (frame_id, lab) in enumerate(dataset.all_labels()):
         u0, v0, u1, v1 = lab.bbox
         annotations.append({
             "id": ann_id,
@@ -149,6 +152,5 @@ def dataset_to_coco(dataset: PseudoDataset, K: CameraIntrinsics) -> dict:
             "segmentation": rle_encode_bool(lab.mask),
             "lambda_bar": [float(x) for x in lab.lambda_bar],
         })
-        ann_id += 1
     categories = [{"id": i, "name": name} for i, name in enumerate(CLASS_NAMES)]
     return {"images": images, "annotations": annotations, "categories": categories}

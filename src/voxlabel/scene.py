@@ -148,18 +148,6 @@ class Pose(JsonDataclass):
     def __post_init__(self):
         object.__setattr__(self, "yaw", normalize_angle(self.yaw))
 
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.camera_height])
-
-    def basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Camera basis vectors (right, down, forward) in world coordinates."""
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        right = np.array([s, -c, 0.0])
-        down = np.array([0.0, 0.0, -1.0])
-        forward = np.array([c, s, 0.0])
-        return right, down, forward
-
 
 NO_INSTANCE = -1
 
@@ -179,11 +167,9 @@ class FrameObservation:
 def visible_instances(frame: FrameObservation, min_pixels: int) -> list:
     """(gt_id, mask) of each object covering at least min_pixels pixels of
     frame, by ascending gt_id: the instances a detector can see."""
-    ids, counts = np.unique(frame.gt_instance[frame.gt_instance >= 0],
-                            return_counts=True)
+    counts = np.bincount(frame.gt_instance.ravel() + 1)[1:]
     return [(gt_id, frame.gt_instance == gt_id)
-            for gt_id, n_px in zip(ids.tolist(), counts.tolist())
-            if n_px >= min_pixels]
+            for gt_id in np.flatnonzero(counts >= max(min_pixels, 1)).tolist()]
 
 
 @dataclass(frozen=True)
@@ -298,16 +284,17 @@ def render_frame(scene: SceneSpec, pose: Pose, K: CameraIntrinsics,
         return FrameObservation(pose=pose, depth=np.zeros((H, W)), gt_instance=gt)
     depth = np.full((H, W), np.inf)   # the running nearest hit
 
-    right, down, forward = pose.basis()
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
     us = (np.arange(W) + 0.0 - K.cx) / K.fx
     vs = (np.arange(H) + 0.0 - K.cy) / K.fy
-    lo = np.array([(b.xmin, b.ymin, b.zmin) for b in boxes]) - pose.position  # (M, 3)
-    hi = np.array([(b.xmax, b.ymax, b.zmax) for b in boxes]) - pose.position
+    origin = (pose.x, pose.y, pose.camera_height)
+    lo = np.array([(b.xmin, b.ymin, b.zmin) for b in boxes]) - origin  # (M, 3)
+    hi = np.array([(b.xmax, b.ymax, b.zmax) for b in boxes]) - origin
     with np.errstate(divide="ignore", invalid="ignore"):
         # direction us * right + vs * down + forward (t = planar depth): down
         # has no x/y part, right and forward no z part; inf on zero components
-        inv_xy = 1.0 / (us[:, None] * right[:2] + forward[:2])   # (W, 2)
-        inv_z = 1.0 / (vs * down[2] + forward[2])                 # (H,)
+        inv_xy = 1.0 / (us[:, None] * (s, -c) + (c, s))   # (W, 2)
+        inv_z = 1.0 / (vs * -1.0 + 0.0)                    # (H,)
         t1, t2 = lo[:, None, :2] * inv_xy, hi[:, None, :2] * inv_xy   # (M, W, 2)
         z1, z2 = lo[:, 2:] * inv_z, hi[:, 2:] * inv_z                 # (M, H)
     # fmax/fmin skip NaN: 0 * inf when the origin lies on a slab plane
@@ -333,18 +320,24 @@ def render_frame(scene: SceneSpec, pose: Pose, K: CameraIntrinsics,
 
 
 def pixel_to_world(u, v, d, K: CameraIntrinsics, pose: Pose) -> np.ndarray:
-    """Lift pixel(s) at planar depth d to world points. Accepts arrays; (..., 3)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    d = np.asarray(d, dtype=float)
+    """Lift pixel(s) at planar depth d to world points. Accepts arrays; (..., 3).
+
+    Each axis sums only the non-zero products of the yaw-only basis right =
+    (s, -c, 0), down = (0, 0, -1), forward = (c, s, 0), in the order of X *
+    right + Y * down + d * forward + position: dropping an exact +-0 product
+    can change only the sign of a zero sum, which the next term absorbs.
+    """
+    u, v, d = (np.asarray(a, dtype=float) for a in (u, v, d))
     if np.any(d <= 0):
         raise ValueError("invalid depth")
-    right, down, forward = pose.basis()
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
     X = (u - K.cx) * d / K.fx
     Y = (v - K.cy) * d / K.fy
-    pts = (X[..., None] * right + Y[..., None] * down + d[..., None] * forward
-           + pose.position)
-    return pts
+    pts = np.empty((3, *np.broadcast(X, Y, d).shape))
+    pts[0] = X * s + d * c + pose.x
+    pts[1] = -(X * c) + d * s + pose.y
+    pts[2] = -Y + pose.camera_height
+    return np.moveaxis(pts, 0, -1)
 
 
 def world_to_pixel(p, K: CameraIntrinsics, pose: Pose):
@@ -352,13 +345,16 @@ def world_to_pixel(p, K: CameraIntrinsics, pose: Pose):
 
     d <= 0 marks points behind the camera; the caller clips to image
     bounds. Each point's result is bit-identical however many points are
-    projected with it.
+    projected with it. Each axis sums only the non-zero products of the
+    yaw-only basis right = (s, -c, 0), down = (0, 0, -1), forward = (c, s,
+    0): dropping an exact +-0 product can change only the sign of a zero
+    sum, which reaches u and v only as cx and cy, or fails d > 0 (on the
+    camera's vertical axis d may be -0, and v an infinity of either sign).
     """
-    rel = np.asarray(p, dtype=float) - pose.position
-    # elementwise multiply-adds: a BLAS product (rel @ axis) rounds a row
-    # differently depending on the length of the array around it
-    X, Y, Z = (rel[..., 0] * a[0] + rel[..., 1] * a[1] + rel[..., 2] * a[2]
-               for a in pose.basis())
+    p = np.asarray(p, dtype=float)
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+    dx, dy = p[..., 0] - pose.x, p[..., 1] - pose.y
+    X, Y, Z = dx * s - dy * c, -(p[..., 2] - pose.camera_height), dx * c + dy * s
     with np.errstate(divide="ignore", invalid="ignore"):
         u = X / Z * K.fx + K.cx
         v = Y / Z * K.fy + K.cy

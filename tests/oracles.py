@@ -120,6 +120,46 @@ def project_homogeneous(p, K, pose):
     return uvw[0] / uvw[2], uvw[1] / uvw[2], Z
 
 
+def _basis(pose):
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+    return (np.array([s, -c, 0.0]), np.array([0.0, 0.0, -1.0]),
+            np.array([c, s, 0.0]))
+
+
+def _position(pose):
+    return np.array([pose.x, pose.y, pose.camera_height])
+
+
+def general_basis_pixel_to_world(u, v, d, K, pose):
+    """pixel_to_world as a sum over the full (right, down, forward) basis,
+    zero products included."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    d = np.asarray(d, dtype=float)
+    if np.any(d <= 0):
+        raise ValueError("invalid depth")
+    right, down, forward = _basis(pose)
+    X = (u - K.cx) * d / K.fx
+    Y = (v - K.cy) * d / K.fy
+    pts = (X[..., None] * right + Y[..., None] * down + d[..., None] * forward
+           + _position(pose))
+    return pts
+
+
+def general_basis_world_to_pixel(p, K, pose):
+    """world_to_pixel as dot products with the full basis, zero products
+    included."""
+    rel = np.asarray(p, dtype=float) - _position(pose)
+    # elementwise multiply-adds: a BLAS product (rel @ axis) rounds a row
+    # differently depending on the length of the array around it
+    X, Y, Z = (rel[..., 0] * a[0] + rel[..., 1] * a[1] + rel[..., 2] * a[2]
+               for a in _basis(pose))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = X / Z * K.fx + K.cx
+        v = Y / Z * K.fy + K.cy
+    return u, v, Z
+
+
 # ----------------------------------------------------------------- detector
 
 def cross_morphology(mask, r):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxlabel.consensus import (DEFAULT_VOXEL_SIZE, InstanceRecord,
-                                SemanticVoxelMap, accumulate_frame,
+                                SemanticVoxelMap, _AXIS_BITS, _KEY_LIMIT,
+                                _KEY_OFFSET, _pack, accumulate_frame,
                                 consistent_logits, extract_instances,
                                 finalize_map, resolve_voxels)
 from voxlabel.detector import Detection, DetectionSet, NoiseModel
@@ -50,6 +52,36 @@ def instance(keys, class_id=0):
 
 def full_mask_detection(shape, class_id=1):
     return Detection(mask=np.ones(shape, dtype=bool), logits=logits_for(class_id))
+
+
+def pack_by_sum(keys):
+    """Packed keys as the sum of the offset columns shifted into place."""
+    k = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+    return ((k + _KEY_OFFSET) << np.array([2 * _AXIS_BITS, _AXIS_BITS, 0])).sum(axis=1)
+
+
+class TestPackedKeys:
+    def test_or_of_shifted_columns_equals_sum_at_the_limits(self):
+        edge = _KEY_LIMIT - 1
+        keys = np.array(list(itertools.product((-edge, -1, 0, 1, edge), repeat=3)))
+        assert _pack(keys).tobytes() == pack_by_sum(keys).tobytes()
+        assert np.all(np.diff(_pack(keys)) > 0)     # lexicographic input stays sorted
+
+    def test_or_of_shifted_columns_equals_sum_on_random_keys(self):
+        keys = np.random.default_rng(5).integers(-_KEY_LIMIT + 1, _KEY_LIMIT, (2000, 3))
+        assert _pack(keys).tobytes() == pack_by_sum(keys).tobytes()
+
+    def test_observation_keys_are_sorted_unique(self):
+        rng = np.random.default_rng(6)
+        keys = rng.integers(-4, 5, (500, 3))     # 729 possible keys: many repeats
+        assert len(key_set(keys)) < len(keys)
+        vmap = SemanticVoxelMap()
+        add_obs(vmap, keys, class_id=1, score=0.9)
+        add_obs(vmap, np.zeros((0, 3), dtype=np.int64), class_id=1, score=0.9)
+        stored = vmap.observations[0].keys
+        assert stored.dtype == np.int64
+        assert stored.tobytes() == np.unique(_pack(keys)).tobytes()
+        assert len(vmap.observations[1].keys) == 0
 
 
 class TestAccumulate:

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from voxlabel.serialize import canonical_dumps, derive_seed
 from oracles import painter_reproject, window_min_brute
 
 
-def single_voxel_map(key=(40, 0, 25)):
+def single_voxel_map(key=(40, 0, 25), voxel_size=0.05):
     """Map with one resolved single-voxel instance at the given key."""
-    vmap = SemanticVoxelMap()
+    vmap = SemanticVoxelMap(voxel_size)
     vmap.add_observation([key], np.array([0, 0, 5.0, 0, 0, 0]), 0.9)
     finalize_map(vmap, min_instance_voxels=1)
     assert len(vmap.instances) == 1
@@ -42,14 +43,22 @@ class TestMaskToBbox:
 
     def test_matches_scan_oracle(self):
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            mask = rng.random((12, 16)) < 0.2
+        masks = []
+        for rows, cols in ((12, 16), (1, 9), (9, 1), (1, 1)):
+            masks += [rng.random((rows, cols)) < p for p in (0.2, 0.5)
+                      for _ in range(10)]
+            for v, u in ((0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1)):
+                corner = np.zeros((rows, cols), dtype=bool)   # one corner pixel
+                corner[v, u] = True
+                masks.append(corner)
+        for mask in masks:
             if not mask.any():
                 continue
             got = mask_bbox(mask)
-            us = [u for v in range(12) for u in range(16) if mask[v, u]]
-            vs = [v for v in range(12) for u in range(16) if mask[v, u]]
+            vs, us = zip(*[(v, u) for v in range(mask.shape[0])
+                           for u in range(mask.shape[1]) if mask[v, u]])
             assert got == (min(us), min(vs), max(us), max(vs))
+            assert all(type(x) is int for x in got)
 
 
 class TestProjectInstanceMasks:
@@ -82,6 +91,30 @@ class TestProjectInstanceMasks:
         frame = FrameObservation(pose=pose, depth=depth,
                                  gt_instance=np.zeros(depth.shape, np.int32))
         assert project_instance_masks(vmap, frame, cam) == []
+
+    def test_voxel_on_camera_plane_projects_nothing(self, cam):
+        # the centre (2.025, 0.025, 1.275) has zero depth: u = -inf, v = -inf
+        vmap = single_voxel_map()
+        frame = FrameObservation(pose=Pose(2.025, 0.0, 0.0),
+                                 depth=np.full((cam.height, cam.width), 2.0),
+                                 gt_instance=np.zeros((cam.height, cam.width),
+                                                      np.int32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert project_instance_masks(vmap, frame, cam) == []
+
+    def test_half_pixel_rounds_into_odd_width_image(self):
+        # np.round(64.5) is 64, the last column of a 65-pixel-wide image
+        cam = CameraIntrinsics(fx=64.0, fy=64.0, cx=32.5, cy=24.5,
+                               width=65, height=49)
+        vmap = single_voxel_map((2, -2, 2), voxel_size=0.5)
+        pose = Pose(0.25, -0.25, 0.0)
+        u, v, d = world_to_pixel(vmap.member_centres, cam, pose)
+        assert (u[0], v[0], d[0]) == (64.5, 24.5, 1.0)
+        frame = FrameObservation(pose=pose, depth=np.full((49, 65), 1.0),
+                                 gt_instance=np.zeros((49, 65), np.int32))
+        labels = project_instance_masks(vmap, frame, cam)
+        assert [lab.bbox for lab in labels] == [(48, 8, 64, 40)]
 
     def test_nearer_instance_wins_overlap(self, cam):
         vmap = SemanticVoxelMap()

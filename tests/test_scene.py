@@ -11,7 +11,8 @@ from voxlabel.scene import (Box, CameraIntrinsics, FrameObservation,
                             pixel_to_world, render_frame, visible_instances,
                             world_to_pixel)
 
-from oracles import project_homogeneous, ray_march_depth, slab_render
+from oracles import (general_basis_pixel_to_world, general_basis_world_to_pixel,
+                     project_homogeneous, ray_march_depth, slab_render)
 
 EDGE_POSES = [   # (x, y, yaw, camera_height) in box_scene
     (2.0, 4.0, 0.0, 1.25),
@@ -221,6 +222,73 @@ def test_visible_instances_ascending_above_floor(min_pixels, want):
     for gt_id, mask in got:
         assert type(gt_id) is int
         assert np.array_equal(mask, gt == gt_id)
+
+
+def test_visible_instances_of_frame_without_objects():
+    frame = FrameObservation(pose=Pose(0, 0, 0), depth=np.ones((3, 4)),
+                             gt_instance=np.full((3, 4), -1, dtype=np.int32))
+    assert visible_instances(frame, 1) == []
+
+
+# exact yaws where sin or cos is 0 or +-1, then random ones
+TRANSFORM_YAWS = [0.0, math.pi / 2, -math.pi / 2, -math.pi] + \
+    np.random.default_rng(11).uniform(-math.pi, math.pi, 8).tolist()
+
+
+def _same_bits(got, want, on_plane):
+    """Bitwise equal; on the camera plane (d == 0) up to the sign bit."""
+    got, want = got.copy(), want.copy()
+    got[on_plane], want[on_plane] = np.abs(got[on_plane]), np.abs(want[on_plane])
+    assert got.tobytes() == want.tobytes()
+
+
+class TestYawOnlyTransforms:
+    """The yaw-only transforms against the general-basis sums they replace,
+    zero products included, compared bit for bit."""
+
+    @pytest.mark.parametrize("yaw", TRANSFORM_YAWS)
+    def test_world_to_pixel_matches_general_basis(self, cam, yaw):
+        rng = np.random.default_rng(int(yaw * 1000) % 997)
+        pose = Pose(x=1.5, y=-0.5, yaw=yaw, camera_height=1.25)
+        c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+        n = 300
+        depth = np.concatenate([rng.uniform(0.05, 9.0, n),     # in front
+                                -rng.uniform(0.05, 9.0, n)])   # behind
+        lateral = rng.uniform(-6.0, 6.0, 2 * n)
+        pts = np.stack([pose.x + depth * c + lateral * s,
+                        pose.y + depth * s - lateral * c,
+                        rng.uniform(0.0, 2.5, 2 * n)], axis=1)
+        pts[::7, 2] = pose.camera_height        # zero vertical offset
+        # on the camera plane: the camera's vertical axis at every yaw, and
+        # the whole plane x = pose.x at yaw 0
+        on = [(pose.x, pose.y, z) for z in (0.0, 0.5, 1.25, 2.0)]
+        if yaw == 0.0:
+            on += [(pose.x, y, z) for y in (-3.0, 0.0, 2.0) for z in (0.3, 1.25)]
+        pts = np.concatenate([pts, on])
+        u, v, d = world_to_pixel(pts, cam, pose)
+        want_u, want_v, want_d = general_basis_world_to_pixel(pts, cam, pose)
+        # a zero depth's sign can differ, which fails d > 0 either way
+        on_plane = want_d == 0
+        assert on_plane.sum() == (4 if yaw != 0.0 else 10)
+        assert not (d[on_plane] > 0).any()
+        for got, want in ((u, want_u), (v, want_v), (d, want_d)):
+            _same_bits(got, want, on_plane)
+
+    @pytest.mark.parametrize("yaw", TRANSFORM_YAWS)
+    def test_pixel_to_world_matches_general_basis(self, cam, yaw):
+        rng = np.random.default_rng(int(yaw * 1000) % 991)
+        pose = Pose(x=-0.75, y=2.0, yaw=yaw, camera_height=1.25)
+        u = rng.uniform(-2.0, cam.width + 2.0, 400)
+        v = rng.uniform(-2.0, cam.height + 2.0, 400)
+        u[:50], v[50:100] = cam.cx, cam.cy    # zero X or zero Y
+        d = rng.uniform(0.01, 9.0, 400)
+        got = pixel_to_world(u, v, d, cam, pose)
+        want = general_basis_pixel_to_world(u, v, d, cam, pose)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        scalar = pixel_to_world(cam.cx, cam.cy, 2.0, cam, pose)
+        assert scalar.tobytes() == \
+            general_basis_pixel_to_world(cam.cx, cam.cy, 2.0, cam, pose).tobytes()
 
 
 class TestCameraModel:
