@@ -19,8 +19,8 @@ from .consensus import (InstanceRecord, SemanticVoxelMap, accumulate_frame,
                         resolve_voxels)
 from .reproject import (PseudoDataset, PseudoLabel, build_pseudo_dataset,
                         project_instance_masks)
-from .losses import (LossValue, TrainConfig, detection_loss, distill_loss,
-                     head_loss, toy_finetune, triplet_loss)
+from .losses import (LossValue, TrainConfig, distill_loss, head_loss,
+                     toy_finetune, triplet_loss)
 from .evaluate import EvalReport, average_precision, evaluate_pseudo_labels, iou
 from .pipeline import RunConfig, load_run, run_grid, run_pipeline
 

@@ -35,7 +35,7 @@ def _load_config(args) -> RunConfig:
     if args.group == "grid" or args.train:
         run["train"] = True
     train = {attr: getattr(args, attr) for attr in (
-        "margin", "epochs", "lr", "batch_size") if getattr(args, attr, None) is not None}
+        "epochs", "lr", "batch_size") if getattr(args, attr, None) is not None}
     config = replace(config, **run,
                      train_config=replace(config.train_config, **train))
     if config.scene_file:
@@ -63,7 +63,6 @@ def _add_common(p):
     p.add_argument("--steps", type=int)
     p.add_argument("--voxel-size", type=float, dest="voxel_size")
     p.add_argument("--min-instance-voxels", type=int, dest="min_instance_voxels")
-    p.add_argument("--margin", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--batch-size", type=int, dest="batch_size")

@@ -1,9 +1,11 @@
 """Loss kernels with analytic gradients, and a toy trainable head.
 
-Three kernels feed the combined detection loss: an instance-matching triplet
-loss over feature vectors, a soft-distillation cross-entropy against
-consistent per-instance probabilities, and a generic head loss (hard-label
-cross-entropy + smooth-L1 box regression, optional per-pixel mask BCE).
+Three kernels: an instance-matching triplet loss over feature vectors, a
+soft-distillation cross-entropy against consistent per-instance
+probabilities, and a generic head loss (hard-label cross-entropy + smooth-L1
+box regression, optional per-pixel mask BCE). The toy head trains
+alpha * distill + head only; the triplet kernel is kept as a tested loss
+(its gradient is checked in acceptance criterion 05), not as a training term.
 Everything is double-precision numpy; every gradient is checked against
 finite differences in the test suite.
 """
@@ -167,26 +169,9 @@ def head_loss(pred_logits: np.ndarray, pred_box: np.ndarray,
     return LossValue(value, grads)
 
 
-def detection_loss(im: LossValue, distill: LossValue, head: LossValue,
-                   alpha: float) -> LossValue:
-    """Combined loss: im + alpha * distill + head, gradients namespaced."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    value = im.value + alpha * distill.value + head.value
-    grads = {}
-    for k, g in im.grads.items():
-        grads[f"im.{k}"] = g
-    for k, g in distill.grads.items():
-        grads[f"distill.{k}"] = alpha * g
-    for k, g in head.grads.items():
-        grads[f"head.{k}"] = g
-    return LossValue(float(value), grads)
-
-
 # Fixed settings of the toy head's reference recipe; TrainConfig holds the rest.
 _WEIGHT_DECAY = 1e-5
 _MOMENTUM = 0.9
-_EMBED_DIM = 32
 _FEATURE_SCALE = 1.0            # std of the class centres
 _INSTANCE_OFFSET_SCALE = 0.3    # std of each instance's offset from its centre
 _HOLDOUT_FRACTION = 0.2
@@ -201,7 +186,6 @@ class TrainConfig(JsonDataclass):
     epochs: int = 10
     batch_size: int = 16
     alpha: float = 0.7
-    margin: float = 0.3
     feature_dim: int = 1024
     feature_noise: float = 0.2
     label_flip_prob: float = 0.0
@@ -218,38 +202,36 @@ def _make_examples(dataset, K, config: TrainConfig, rng: np.random.Generator):
     d = config.feature_dim
     class_centers = rng.normal(0.0, _FEATURE_SCALE, (NUM_CLASSES, d))
     offsets: dict = {}
-    feats, uids, classes, lambdas, boxes = [], [], [], [], []
+    feats, classes, lambdas, boxes = [], [], [], []
     for _, lab in dataset.all_labels():
         if lab.uid not in offsets:
             offsets[lab.uid] = rng.normal(0.0, _INSTANCE_OFFSET_SCALE, d)
         noise = rng.normal(0.0, config.feature_noise, d)
         feats.append(class_centers[lab.class_id] + offsets[lab.uid] + noise)
-        uids.append(lab.uid)
         classes.append(lab.class_id)
         lambdas.append(np.asarray(lab.lambda_bar, dtype=float))
         u0, v0, u1, v1 = lab.bbox
         boxes.append(np.array([u0 / K.width, v0 / K.height,
                                (u1 + 1) / K.width, (v1 + 1) / K.height]))
-    return (np.array(feats), np.array(uids), np.array(classes),
-            np.array(lambdas), np.array(boxes))
+    return (np.array(feats), np.array(classes), np.array(lambdas),
+            np.array(boxes))
 
 
 def toy_finetune(dataset, K, config: TrainConfig) -> dict:
-    """Train a linear head on synthetic features with the combined loss.
+    """Train a linear head on synthetic features with alpha * distill + head.
 
-    The head is a linear classifier (features -> 6 logits), a linear box
-    regressor, and a linear embedding used by the instance-matching term.
-    Mini-batch SGD with momentum and weight decay, deterministic given the
-    config seed. Hard labels are optionally flipped (label_flip_prob) while
-    soft targets keep the consensus probabilities; held-out accuracy is
-    measured against the unflipped classes. The instance-matching term is
-    0, and costs little, in a batch without an active triplet.
+    The head is a linear classifier (features -> 6 logits) and a linear box
+    regressor; it has no embedding, so no instance-matching (triplet) term
+    is trained. Mini-batch SGD with momentum and weight decay, deterministic
+    given the config seed. Hard labels are optionally flipped
+    (label_flip_prob) while soft targets keep the consensus probabilities;
+    held-out accuracy is measured against the unflipped classes.
     """
     n_total = sum(len(f) for f in dataset.frames)
     if n_total == 0:
         raise ValueError("no training data")
     rng = np.random.default_rng(config.seed)
-    feats, uids, classes, lambdas, boxes = _make_examples(dataset, K, config, rng)
+    feats, classes, lambdas, boxes = _make_examples(dataset, K, config, rng)
     n = feats.shape[0]
 
     hard = classes.copy()
@@ -273,7 +255,6 @@ def toy_finetune(dataset, K, config: TrainConfig) -> dict:
         "b_cls": np.zeros(NUM_CLASSES),
         "W_box": rng.normal(0, scale, (4, d)),
         "b_box": np.zeros(4),
-        "W_emb": rng.normal(0, scale, (_EMBED_DIM, d)),
     }
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
 
@@ -281,22 +262,18 @@ def toy_finetune(dataset, K, config: TrainConfig) -> dict:
         F = feats[idx]
         logits = F @ params["W_cls"].T + params["b_cls"]
         pbox = F @ params["W_box"].T + params["b_box"]
-        im = triplet_loss(F @ params["W_emb"].T, uids[idx], margin=config.margin)
         dist = distill_loss(logits, lambdas[idx])
         head = head_loss(logits, pbox, hard[idx], boxes[idx])
-        total = detection_loss(im, dist, head, config.alpha)
-        return total, im, dist, head, F
+        return config.alpha * dist.value + head.value, dist, head, F
 
-    def apply_grads(total: LossValue, F):
-        g_logits = total.grads["distill.logits"] + total.grads["head.logits"]
-        g_box = total.grads["head.box"]
-        g_emb = total.grads["im.features"]
+    def apply_grads(dist: LossValue, head: LossValue, F):
+        g_logits = config.alpha * dist.grads["logits"] + head.grads["logits"]
+        g_box = head.grads["box"]
         grads = {
             "W_cls": g_logits.T @ F,
             "b_cls": g_logits.sum(axis=0),
             "W_box": g_box.T @ F,
             "b_box": g_box.sum(axis=0),
-            "W_emb": g_emb.T @ F,
         }
         for k in params:
             g = grads[k] + _WEIGHT_DECAY * params[k]
@@ -304,25 +281,23 @@ def toy_finetune(dataset, K, config: TrainConfig) -> dict:
             params[k] += velocity[k]
 
     per_epoch = []
-    total0, im0, dist0, head0, _ = batch_losses(train_idx)
-    per_epoch.append({"epoch": 0, "loss_total": total0.value,
-                      "loss_im": im0.value, "loss_distill": dist0.value,
-                      "loss_head": head0.value})
+    total0, dist0, head0, _ = batch_losses(train_idx)
+    per_epoch.append({"epoch": 0, "loss_total": total0,
+                      "loss_distill": dist0.value, "loss_head": head0.value})
 
     for epoch in range(config.epochs):
         order = rng.permutation(train_idx)
-        sums = np.zeros(4)
+        sums = np.zeros(3)
         n_batches = 0
         for start in range(0, order.size, config.batch_size):
             idx = order[start:start + config.batch_size]
-            total, im, dist, head, F = batch_losses(idx)
-            apply_grads(total, F)
-            sums += (total.value, im.value, dist.value, head.value)
+            total, dist, head, F = batch_losses(idx)
+            apply_grads(dist, head, F)
+            sums += (total, dist.value, head.value)
             n_batches += 1
         means = sums / n_batches
         per_epoch.append({"epoch": epoch + 1, "loss_total": means[0],
-                          "loss_im": means[1], "loss_distill": means[2],
-                          "loss_head": means[3]})
+                          "loss_distill": means[1], "loss_head": means[2]})
 
     logits_hold = feats[hold_idx] @ params["W_cls"].T + params["b_cls"]
     accuracy = (float(np.mean(np.argmax(logits_hold, axis=1) == classes[hold_idx]))

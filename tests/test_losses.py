@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from voxlabel.detector import softmax
-from voxlabel.losses import (LossValue, TrainConfig, detection_loss,
-                             distill_loss, head_loss, toy_finetune,
-                             triplet_loss)
+from voxlabel.losses import (TrainConfig, distill_loss, head_loss,
+                             toy_finetune, triplet_loss)
 from voxlabel.reproject import PseudoDataset, PseudoLabel
 
 from oracles import batch_all_triplet, finite_difference_grad, relative_error
@@ -248,36 +247,6 @@ class TestHeadLoss:
             head_loss(np.zeros(6), box, 6, box)
 
 
-class TestDetectionLoss:
-    def test_unit_example(self):
-        one = LossValue(1.0, {})
-        out = detection_loss(one, one, one, alpha=0.7)
-        assert abs(out.value - 2.7) < 1e-12
-
-    def test_alpha_zero_drops_distill(self):
-        out = detection_loss(LossValue(1.0, {"features": np.ones(2)}),
-                             LossValue(5.0, {"logits": np.ones(3)}),
-                             LossValue(2.0, {"box": np.ones(4)}), alpha=0.0)
-        assert abs(out.value - 3.0) < 1e-12
-        assert np.allclose(out.grads["distill.logits"], 0.0)
-        assert np.allclose(out.grads["im.features"], 1.0)
-
-    def test_linear_in_alpha(self):
-        im = LossValue(0.4, {})
-        dist = LossValue(1.3, {"logits": np.full(3, 2.0)})
-        head = LossValue(0.9, {})
-        a1 = detection_loss(im, dist, head, 0.3)
-        a2 = detection_loss(im, dist, head, 0.6)
-        base = detection_loss(im, dist, head, 0.0)
-        assert abs((a1.value - base.value) * 2 - (a2.value - base.value)) < 1e-12
-        assert np.allclose(a2.grads["distill.logits"],
-                           2 * a1.grads["distill.logits"])
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            detection_loss(LossValue(0.0), LossValue(0.0), LossValue(0.0), -0.1)
-
-
 def synthetic_dataset(cam, n_frames=12, seed=0):
     """Small pseudo dataset: 3 instances of 3 classes seen in most frames."""
     rng = np.random.default_rng(seed)
@@ -316,6 +285,22 @@ class TestToyFinetune:
         first = report["per_epoch"][0]["loss_total"]
         last = report["per_epoch"][-1]["loss_total"]
         assert last < first
+
+    def test_total_is_alpha_distill_plus_head(self, cam):
+        ds = synthetic_dataset(cam)
+        epoch0 = []
+        for alpha in (0.0, 0.7):
+            report = toy_finetune(ds, cam, TrainConfig(feature_dim=32, epochs=2,
+                                                       alpha=alpha))
+            for entry in report["per_epoch"]:
+                assert set(entry) == {"epoch", "loss_total", "loss_distill",
+                                      "loss_head"}
+            first = report["per_epoch"][0]
+            assert first["loss_total"] == (alpha * first["loss_distill"]
+                                           + first["loss_head"])
+            epoch0.append((first["loss_distill"], first["loss_head"]))
+        # the untrained head scores the same batch at every alpha
+        assert epoch0[0] == epoch0[1]
 
     def test_deterministic(self, cam):
         ds = synthetic_dataset(cam)
