@@ -271,6 +271,52 @@ def synthetic_dataset(cam, n_frames=12, seed=0):
     return PseudoDataset(frames=frames)
 
 
+class TestDetectionLoss:
+    """The batch loss toy_finetune trains and reports: alpha * distill + head."""
+
+    def test_unit_example(self, cam):
+        report = toy_finetune(synthetic_dataset(cam),
+                              cam, TrainConfig(feature_dim=32, epochs=2,
+                                               alpha=0.7))
+        for entry in report["per_epoch"]:
+            assert set(entry) == {"epoch", "loss_total", "loss_distill",
+                                  "loss_head"}
+        first = report["per_epoch"][0]
+        assert first["loss_total"] == (0.7 * first["loss_distill"]
+                                       + first["loss_head"])
+
+    def test_alpha_zero_drops_distill(self, cam):
+        ds = synthetic_dataset(cam)
+        # same features and hard labels, different soft targets
+        flat = PseudoDataset(frames=[
+            [PseudoLabel(uid=lab.uid, class_id=lab.class_id,
+                         lambda_bar=np.full(6, 1.0 / 6), mask=lab.mask,
+                         bbox=lab.bbox) for lab in labels]
+            for labels in ds.frames])
+        cfg = TrainConfig(feature_dim=32, epochs=3, alpha=0.0)
+        a, b = toy_finetune(ds, cam, cfg), toy_finetune(flat, cam, cfg)
+        for ea, eb in zip(a["per_epoch"], b["per_epoch"]):
+            assert ea["loss_total"] == ea["loss_head"]
+            # the distillation gradient is dropped: training ignores the targets
+            assert ea["loss_head"] == eb["loss_head"]
+        assert a["per_epoch"][0]["loss_distill"] != b["per_epoch"][0]["loss_distill"]
+        assert a["final_accuracy"] == b["final_accuracy"]
+
+    def test_linear_in_alpha(self, cam):
+        ds = synthetic_dataset(cam)
+        firsts = [toy_finetune(ds, cam, TrainConfig(feature_dim=32, epochs=0,
+                                                    alpha=alpha))["per_epoch"][0]
+                  for alpha in (0.0, 0.3, 0.6)]
+        # the untrained head scores the same batch at every alpha
+        assert len({(f["loss_distill"], f["loss_head"]) for f in firsts}) == 1
+        base, a1, a2 = (f["loss_total"] for f in firsts)
+        assert abs((a1 - base) * 2 - (a2 - base)) < 1e-12
+
+    def test_negative_alpha_rejected(self):
+        with pytest.raises(ValueError, match="alpha"):
+            TrainConfig(alpha=-0.1)
+
+
 class TestToyFinetune:
     def test_zero_epochs_reports_initial_loss_only(self, cam):
         ds = synthetic_dataset(cam)
@@ -285,22 +331,6 @@ class TestToyFinetune:
         first = report["per_epoch"][0]["loss_total"]
         last = report["per_epoch"][-1]["loss_total"]
         assert last < first
-
-    def test_total_is_alpha_distill_plus_head(self, cam):
-        ds = synthetic_dataset(cam)
-        epoch0 = []
-        for alpha in (0.0, 0.7):
-            report = toy_finetune(ds, cam, TrainConfig(feature_dim=32, epochs=2,
-                                                       alpha=alpha))
-            for entry in report["per_epoch"]:
-                assert set(entry) == {"epoch", "loss_total", "loss_distill",
-                                      "loss_head"}
-            first = report["per_epoch"][0]
-            assert first["loss_total"] == (alpha * first["loss_distill"]
-                                           + first["loss_head"])
-            epoch0.append((first["loss_distill"], first["loss_head"]))
-        # the untrained head scores the same batch at every alpha
-        assert epoch0[0] == epoch0[1]
 
     def test_deterministic(self, cam):
         ds = synthetic_dataset(cam)
