@@ -12,11 +12,10 @@ finite differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .detector import softmax
 from .scene import NUM_CLASSES
 from .serialize import JsonDataclass
 
@@ -90,9 +89,31 @@ def triplet_loss(features: np.ndarray, uids, margin: float = 0.3) -> LossValue:
     return LossValue(value, {"features": grads})
 
 
-def _log_softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+def _softmax_pass(logits: np.ndarray):
+    """(log-softmax, softmax) of (B, C) logits from one shifted/exp/sum pass,
+    the softmax in detector.softmax's expression; ValueError if not finite."""
+    _check_finite(logits, "invalid logits")
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = np.sum(e, axis=-1, keepdims=True)
+    return shifted - np.log(total), e / total
+
+
+def _distill_term(logp, p, tgt):
+    """Mean soft-target cross-entropy and its (B, C) logits gradient."""
+    return float(np.mean(-np.sum(tgt * logp, axis=-1))), (p - tgt) / p.shape[0]
+
+
+def _head_term(logp, p, box, cls, tbox):
+    """Mean hard-label CE + smooth-L1 sum, and the logits gradient (p, the
+    one-hot subtracted in place) and box gradient, each divided by B."""
+    B = p.shape[0]
+    rows = np.arange(B)
+    sl1, g_box = _smooth_l1(box - tbox)
+    value = float(-logp[rows, cls].mean()) + float(sl1.sum(axis=1).mean())
+    p[rows, cls] -= 1.0
+    p /= B
+    return value, p, g_box / B
 
 
 def distill_loss(logits: np.ndarray, soft_targets: np.ndarray) -> LossValue:
@@ -102,15 +123,13 @@ def distill_loss(logits: np.ndarray, soft_targets: np.ndarray) -> LossValue:
     """
     lam = np.atleast_2d(np.asarray(logits, dtype=float))
     tgt = np.atleast_2d(np.asarray(soft_targets, dtype=float))
-    _check_finite(lam, "invalid logits")
+    logp, p = _softmax_pass(lam)
     if lam.shape[0] == 0:
         raise ValueError("empty batch")
     if (np.any(tgt < -1e-12)
             or np.any(np.abs(tgt.sum(axis=-1) - 1.0) > 1e-9)):
         raise ValueError("invalid soft target")
-    logp = _log_softmax(lam)
-    value = float(np.mean(-np.sum(tgt * logp, axis=-1)))
-    grad = (softmax(lam) - tgt) / lam.shape[0]
+    value, grad = _distill_term(logp, p, tgt)
     return LossValue(value, {"logits": grad.reshape(np.shape(logits))})
 
 
@@ -144,19 +163,14 @@ def head_loss(pred_logits: np.ndarray, pred_box: np.ndarray,
     box = np.atleast_2d(np.asarray(pred_box, dtype=float))
     tbox = np.atleast_2d(np.asarray(target_box, dtype=float))
     cls = np.atleast_1d(target_class)
-    _check_finite(lam, "invalid logits")
+    logp, p = _softmax_pass(lam)
     if np.any(tbox[:, 2] < tbox[:, 0]) or np.any(tbox[:, 3] < tbox[:, 1]):
         raise ValueError("invalid box")
     if np.any((cls < 0) | (cls >= lam.shape[-1])):
         raise ValueError("invalid target class")
-
-    B = lam.shape[0]
-    ce = float(-_log_softmax(lam)[np.arange(B), cls].mean())
-    g_logits = (softmax(lam) - np.eye(lam.shape[-1])[cls]) / B
-    sl1, g_box = _smooth_l1(box - tbox)
-    value = ce + float(sl1.sum(axis=1).mean())
+    value, g_logits, g_box = _head_term(logp, p, box, cls, tbox)
     grads = {"logits": g_logits.reshape(np.shape(pred_logits)),
-             "box": (g_box / B).reshape(np.shape(pred_box))}
+             "box": g_box.reshape(np.shape(pred_box))}
 
     if pred_mask_logits is not None and target_mask is not None:
         m = np.asarray(pred_mask_logits, dtype=float)
@@ -193,7 +207,7 @@ class TrainConfig(JsonDataclass):
 
     def __post_init__(self):
         self._require("at least 1", "batch_size", "feature_dim")
-        self._require("non-negative", "epochs", "lr", "alpha")
+        self._require("non-negative", "epochs", "lr", "alpha", "feature_noise")
         self._require("in [0, 1]", "label_flip_prob")
 
 
@@ -217,7 +231,8 @@ def _make_examples(dataset, K, config: TrainConfig, rng: np.random.Generator):
             np.array(boxes))
 
 
-def toy_finetune(dataset, K, config: TrainConfig) -> dict:
+def toy_finetune(dataset, K, config: TrainConfig,
+                 shared: dict | None = None) -> dict:
     """Train a linear head on synthetic features with alpha * distill + head.
 
     The head is a linear classifier (features -> 6 logits) and a linear box
@@ -225,10 +240,26 @@ def toy_finetune(dataset, K, config: TrainConfig) -> dict:
     is trained. Mini-batch SGD with momentum and weight decay, deterministic
     given the config seed. Hard labels are optionally flipped
     (label_flip_prob) while soft targets keep the consensus probabilities;
-    held-out accuracy is measured against the unflipped classes.
+    held-out accuracy is measured against the unflipped classes (None when
+    one label leaves no hold-out).
+
+    What alpha does not read (examples, flipped labels, split, initial
+    weights, one permutation per epoch) is prepared, and its inputs checked,
+    once; each batch checks only its logits. shared carries that problem
+    between calls on the same dataset object whose camera and config differ
+    at most in alpha: pass each call the same dict. A fit never writes into it.
     """
-    n_total = sum(len(f) for f in dataset.frames)
-    if n_total == 0:
+    shared = {} if shared is None else shared
+    key = (K, replace(config, alpha=0.0))
+    if shared.get("dataset") is not dataset or shared["key"] != key:
+        shared.update(dataset=dataset, key=key, problem=_prepare(dataset, K, config))
+    return _fit(shared["problem"], config)
+
+
+def _prepare(dataset, K, config: TrainConfig) -> tuple:
+    """The training problem before alpha, checked: (feats, classes, lambdas,
+    boxes, hard, train_idx, hold_idx, W_cls, W_box, epoch orders)."""
+    if sum(len(f) for f in dataset.frames) == 0:
         raise ValueError("no training data")
     rng = np.random.default_rng(config.seed)
     feats, classes, lambdas, boxes = _make_examples(dataset, K, config, rng)
@@ -239,73 +270,64 @@ def toy_finetune(dataset, K, config: TrainConfig) -> dict:
         flip = rng.random(n) < config.label_flip_prob
         hard[flip] = (hard[flip] + 1 + rng.integers(0, NUM_CLASSES - 1,
                                                     int(flip.sum()))) % NUM_CLASSES
+    _check_finite(feats, "invalid features")   # then the kernels' checks, once
+    distill_loss(np.zeros((n, NUM_CLASSES)), lambdas)
+    head_loss(np.zeros((n, NUM_CLASSES)), boxes, hard, boxes)
 
     perm = rng.permutation(n)
     n_hold = max(1, int(round(n * _HOLDOUT_FRACTION))) if n > 1 else 0
-    hold_idx = perm[:n_hold]
-    train_idx = perm[n_hold:]
-    if train_idx.size == 0:
-        train_idx = perm
-        hold_idx = perm
+    train_idx = perm[n_hold:]     # never empty: n_hold is 0 when n is 1
+    scale = 1.0 / np.sqrt(config.feature_dim)
+    W_cls = rng.normal(0, scale, (NUM_CLASSES, config.feature_dim))
+    W_box = rng.normal(0, scale, (4, config.feature_dim))
+    orders = [rng.permutation(train_idx) for _ in range(config.epochs)]
+    return (feats, classes, lambdas, boxes, hard, train_idx, perm[:n_hold],
+            W_cls, W_box, orders)
 
-    d = config.feature_dim
-    scale = 1.0 / np.sqrt(d)
-    params = {
-        "W_cls": rng.normal(0, scale, (NUM_CLASSES, d)),
-        "b_cls": np.zeros(NUM_CLASSES),
-        "W_box": rng.normal(0, scale, (4, d)),
-        "b_box": np.zeros(4),
-    }
+
+def _fit(problem: tuple, config: TrainConfig) -> dict:
+    (feats, classes, lambdas, boxes, hard, train_idx, hold_idx, W_cls, W_box,
+     orders) = problem
+    params = {"W_cls": W_cls.copy(), "b_cls": np.zeros(NUM_CLASSES),
+              "W_box": W_box.copy(), "b_box": np.zeros(4)}
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
 
-    def batch_losses(idx):
+    def batch(idx):
+        """(total, distill, head) and (logits grad, box grad, features)."""
         F = feats[idx]
-        logits = F @ params["W_cls"].T + params["b_cls"]
+        logp, p = _softmax_pass(F @ params["W_cls"].T + params["b_cls"])
+        dist, g_dist = _distill_term(logp, p, lambdas[idx])
         pbox = F @ params["W_box"].T + params["b_box"]
-        dist = distill_loss(logits, lambdas[idx])
-        head = head_loss(logits, pbox, hard[idx], boxes[idx])
-        return config.alpha * dist.value + head.value, dist, head, F
+        head, g_head, g_box = _head_term(logp, p, pbox, hard[idx], boxes[idx])
+        return ((config.alpha * dist + head, dist, head),
+                (config.alpha * g_dist + g_head, g_box, F))
 
-    def apply_grads(dist: LossValue, head: LossValue, F):
-        g_logits = config.alpha * dist.grads["logits"] + head.grads["logits"]
-        g_box = head.grads["box"]
-        grads = {
-            "W_cls": g_logits.T @ F,
-            "b_cls": g_logits.sum(axis=0),
-            "W_box": g_box.T @ F,
-            "b_box": g_box.sum(axis=0),
-        }
-        for k in params:
-            g = grads[k] + _WEIGHT_DECAY * params[k]
-            velocity[k] = _MOMENTUM * velocity[k] - config.lr * g
-            params[k] += velocity[k]
-
-    per_epoch = []
-    total0, dist0, head0, _ = batch_losses(train_idx)
-    per_epoch.append({"epoch": 0, "loss_total": total0,
-                      "loss_distill": dist0.value, "loss_head": head0.value})
-
-    for epoch in range(config.epochs):
-        order = rng.permutation(train_idx)
+    total, dist, head = batch(train_idx)[0]
+    per_epoch = [{"epoch": 0, "loss_total": total, "loss_distill": dist,
+                  "loss_head": head}]
+    for epoch, order in enumerate(orders, 1):
         sums = np.zeros(3)
-        n_batches = 0
-        for start in range(0, order.size, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            total, dist, head, F = batch_losses(idx)
-            apply_grads(dist, head, F)
-            sums += (total, dist.value, head.value)
-            n_batches += 1
-        means = sums / n_batches
-        per_epoch.append({"epoch": epoch + 1, "loss_total": means[0],
+        starts = range(0, order.size, config.batch_size)
+        for start in starts:
+            values, (g_logits, g_box, F) = batch(order[start:start + config.batch_size])
+            grads = {"W_cls": g_logits.T @ F, "b_cls": g_logits.sum(axis=0),
+                     "W_box": g_box.T @ F, "b_box": g_box.sum(axis=0)}
+            for k in params:
+                g = grads[k] + _WEIGHT_DECAY * params[k]
+                velocity[k] = _MOMENTUM * velocity[k] - config.lr * g
+                params[k] += velocity[k]
+            sums += values
+        means = sums / len(starts)
+        per_epoch.append({"epoch": epoch, "loss_total": means[0],
                           "loss_distill": means[1], "loss_head": means[2]})
 
     logits_hold = feats[hold_idx] @ params["W_cls"].T + params["b_cls"]
     accuracy = (float(np.mean(np.argmax(logits_hold, axis=1) == classes[hold_idx]))
-                if hold_idx.size else 0.0)
+                if hold_idx.size else None)
     return {
         "config": config.to_json(),
         "alpha": config.alpha,
-        "n_examples": int(n),
+        "n_examples": int(feats.shape[0]),
         "n_train": int(train_idx.size),
         "n_holdout": int(hold_idx.size),
         "per_epoch": per_epoch,

@@ -174,7 +174,8 @@ def run_pipeline(config: RunConfig, out_dir, shared: dict | None = None) -> dict
     runs whose configs differ only in those: pass each run the same dict.
     The first run computes it; every run writes its texts, re-raises its
     failure under the stage that raised it, and then trains, so each run
-    writes what it would write alone.
+    writes what it would write alone. Under "train" it holds toy_finetune's
+    shared dict, so runs that differ only in alpha train one prepared problem.
     """
     shared = {} if shared is None else shared
     key = _upstream_key(config)
@@ -210,7 +211,8 @@ def run_pipeline(config: RunConfig, out_dir, shared: dict | None = None) -> dict
             stage = "train"
             tc = replace(config.train_config, alpha=config.alpha,
                          seed=derive_seed(config.seed, "train"))
-            train_report = toy_finetune(dataset, config.camera, tc)
+            train_report = toy_finetune(dataset, config.camera, tc,
+                                        shared.setdefault("train", {}))
             write("train_report.json",
                   canonical_dumps(_round_floats(train_report, 9)) + "\n")
     except Exception as exc:

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -349,6 +350,55 @@ class TestToyFinetune:
     def test_empty_dataset_rejected(self, cam):
         with pytest.raises(ValueError):
             toy_finetune(PseudoDataset(frames=[[]]), cam, TrainConfig())
+
+    def test_one_label_reports_no_accuracy(self, cam):
+        # one example leaves no hold-out, so there is no accuracy to report
+        lab = synthetic_dataset(cam).frames[0][0]
+        report = toy_finetune(PseudoDataset(frames=[[lab]]), cam,
+                              TrainConfig(feature_dim=32, epochs=2))
+        assert (report["n_train"], report["n_holdout"]) == (1, 0)
+        assert report["final_accuracy"] is None
+
+    @pytest.mark.parametrize("change, message", [
+        ({"lambda_bar": np.full(6, 0.5)}, "invalid soft target"),
+        ({"bbox": (9, 0, 3, 7)}, "invalid box"),
+        ({"class_id": -1}, "invalid target class"),
+    ])
+    def test_bad_label_rejected_wherever_it_lands(self, cam, change, message):
+        # inputs are checked once over every example, hold-out included
+        ds = synthetic_dataset(cam)
+        for i in range(len(ds.frames[0])):
+            frames = [list(labels) for labels in ds.frames]
+            frames[0][i] = replace(frames[0][i], **change)
+            with pytest.raises(ValueError, match=message):
+                toy_finetune(PseudoDataset(frames=frames), cam,
+                             TrainConfig(feature_dim=32, epochs=1))
+
+    def test_diverging_run_raises(self, cam):
+        # every batch still checks its logits; products overflow on the way,
+        # as in any diverging run
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="invalid logits"):
+            toy_finetune(synthetic_dataset(cam), cam,
+                         TrainConfig(feature_dim=32, epochs=3, lr=1e150))
+
+    @pytest.mark.parametrize("change", [{"epochs": 5}, {"feature_dim": 48},
+                                        {"alpha": 0.2}])
+    def test_shared_problem_matches_standalone(self, cam, change):
+        ds = synthetic_dataset(cam)
+        cfg = TrainConfig(feature_dim=32, epochs=3, label_flip_prob=0.3)
+        shared = {}
+        toy_finetune(ds, cam, cfg, shared)
+        other = replace(cfg, **change)
+        assert repr(toy_finetune(ds, cam, other, shared)) \
+            == repr(toy_finetune(ds, cam, other))
+
+    def test_shared_problem_is_not_written(self, cam):
+        ds = synthetic_dataset(cam)
+        cfg = TrainConfig(feature_dim=32, epochs=3, lr=1e-2)
+        shared = {}
+        first = toy_finetune(ds, cam, cfg, shared)
+        assert repr(toy_finetune(ds, cam, cfg, shared)) == repr(first)
 
     def test_config_round_trip(self):
         cfg = TrainConfig(lr=5e-4, alpha=0.3, label_flip_prob=0.25)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import voxlabel
-from voxlabel import pipeline
+from voxlabel import losses, pipeline
 from voxlabel.detector import NoiseModel
 from voxlabel.evaluate import evaluate_pseudo_labels
 from voxlabel.losses import TrainConfig
@@ -84,6 +84,19 @@ class TestRunPipeline:
         run_pipeline(config, tmp_path)
         assert sha256_file(tmp_path / "train_report.json") == (
             "865d2ccb30f76db8580402afcc4928598efefae20bf98ccffef80ffbb760b3ee")
+
+    def test_train_report_bytes_pinned_with_flips(self, tmp_path):
+        # the label-flip draws, alpha 0 and, with 43 training examples in
+        # batches of 7, a last batch of one example in every epoch
+        config = RunConfig(steps=60, seed=0, train=True, alpha=0.0,
+                           train_config=TrainConfig(
+                               feature_dim=64, feature_noise=1.0, epochs=3,
+                               label_flip_prob=0.4, batch_size=7))
+        run_pipeline(config, tmp_path)
+        report = json.loads((tmp_path / "train_report.json").read_text())
+        assert report["n_train"] == 43
+        assert sha256_file(tmp_path / "train_report.json") == (
+            "5e7c03f093a5633bf1b0af0a2785beed1665b810bf4355f1f92df914fb0b371c")
 
     def test_stage_error_marks_manifest(self, tmp_path):
         config = small_config(scene_file=str(tmp_path / "missing.json"))
@@ -337,6 +350,8 @@ class TestRunConfig:
         # run_pipeline trains at the run's alpha and a seed derived from its seed
         ({"train_config": {"alpha": 0.1}}, "train_config.alpha must be 0.7"),
         ({"train_config": {"seed": 5}}, "train_config.seed must be 0"),
+        ({"train_config": {"feature_noise": -1}},
+         "train_config.feature_noise must be non-negative, got -1.0"),
     ])
     def test_from_json_range_error_names_dotted_field(self, data, message):
         with pytest.raises(ValueError, match=f"^{message}"):
@@ -370,7 +385,8 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("name, value", [
         ("batch_size", 0), ("epochs", -1), ("feature_dim", 0),
-        ("label_flip_prob", 2.0), ("lr", -1), ("alpha", -1)])
+        ("label_flip_prob", 2.0), ("lr", -1), ("alpha", -1),
+        ("feature_noise", -1)])
     def test_rejects_out_of_range_train_settings(self, name, value):
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})
@@ -503,6 +519,23 @@ class TestRunGrid:
         assert [m.split()[2] for m in progress] \
             == [f"{i}/6" for i in range(1, 7)]
         assert all(m.endswith("status=ok") for m in progress)
+
+    def test_one_training_problem_per_policy_and_seed(self, tmp_path,
+                                                      monkeypatch):
+        calls = []
+        real_examples = losses._make_examples
+
+        def counting_examples(dataset, K, config, rng):
+            calls.append(config.seed)
+            return real_examples(dataset, K, config, rng)
+
+        monkeypatch.setattr(losses, "_make_examples", counting_examples)
+        base = small_config(steps=30, train=True, min_instance_voxels=10)
+        agg = run_grid(base, ["frontier"], [0.0, 0.7, 1.0], [0, 1], tmp_path,
+                       max_workers=1)
+        assert len(calls) == 2 and len(set(calls)) == 2
+        with open(agg) as f:
+            assert all(row["n_ok"] == "2" for row in csv.DictReader(f))
 
     def test_shared_stage_failure_fails_every_cell(self, tmp_path):
         base = small_config(steps=5, scene_file=str(tmp_path / "missing.json"))
