@@ -53,10 +53,11 @@ class NoiseModel(JsonDataclass):
         if [len(row) for row in self.confusion] != [NUM_CLASSES] * NUM_CLASSES:
             raise ValueError("confusion must be 6x6")
         m = np.asarray(self.confusion)
-        if np.any(m < 0) or np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-9):
+        if not (np.all(m >= 0) and np.all(np.abs(m.sum(axis=1) - 1.0) <= 1e-9)):
             raise ValueError("confusion rows must be stochastic")
         self._require("in [0, 1]", "dropout_base", "score_threshold")
-        self._require("non-negative", "dropout_per_meter", "mask_jitter_px")
+        self._require("non-negative", "dropout_per_meter", "logit_sharpness",
+                      "logit_noise_sigma", "mask_jitter_px")
         self._require("at least 1", "min_pixels")
 
     @classmethod

@@ -33,24 +33,19 @@ def iou(box_a, box_b) -> float:
     return inter / (area_a + area_b - inter)
 
 
-def average_precision(pred_boxes, pred_scores, gt_boxes, iou_thresh: float = 0.5,
-                      pred_frames=None, gt_frames=None):
-    """Single-class AP with greedy matching.
+def average_precision(pred_boxes, pred_scores, gt_boxes, pred_frames, gt_frames):
+    """Single-class AP at IoU 0.5 with greedy matching.
 
     Predictions are sorted by descending score (stable, ties keep input
     order); each matches the unmatched ground-truth box of the same frame
-    with highest IoU >= threshold. AP is the area under the precision
-    envelope over recall. Returns None when there is no ground truth.
+    with highest IoU >= 0.5. AP is the area under the precision envelope
+    over recall. Returns None when there is no ground truth.
     """
     n_gt = len(gt_boxes)
     if n_gt == 0:
         return None
     if not pred_boxes:
         return 0.0
-    if pred_frames is None:
-        pred_frames = [0] * len(pred_boxes)
-    if gt_frames is None:
-        gt_frames = [0] * n_gt
 
     order = sorted(range(len(pred_boxes)), key=lambda i: (-pred_scores[i], i))
     matched = [False] * n_gt
@@ -61,7 +56,7 @@ def average_precision(pred_boxes, pred_scores, gt_boxes, iou_thresh: float = 0.5
             if matched[j] or gt_frames[j] != pred_frames[i]:
                 continue
             v = iou(pred_boxes[i], gt_boxes[j])
-            if v >= iou_thresh and v > best_iou:
+            if v >= 0.5 and v > best_iou:
                 best_iou, best_j = v, j
         if best_j >= 0:
             matched[best_j] = True

@@ -37,9 +37,9 @@ TURN_STEP = math.radians(10.0)
 
 @dataclass(eq=False)
 class OccupancyGrid:
-    """2D grid over the scene footprint; origin is the world xy of cell (0,0)."""
+    """2D grid of CELL_SIZE cells over the scene footprint; origin is the
+    world xy of cell (0,0)."""
 
-    cell_size: float
     cells: np.ndarray           # (rows, cols) uint8 in {UNKNOWN, FREE, OCCUPIED}
     origin: tuple               # (x, y)
 
@@ -48,19 +48,18 @@ class OccupancyGrid:
         b = scene.bounds
         cols = int(math.ceil((b.xmax - b.xmin) / CELL_SIZE))
         rows = int(math.ceil((b.ymax - b.ymin) / CELL_SIZE))
-        return cls(cell_size=CELL_SIZE,
-                   cells=np.zeros((rows, cols), dtype=np.uint8),
+        return cls(cells=np.zeros((rows, cols), dtype=np.uint8),
                    origin=(b.xmin, b.ymin))
 
     def world_to_cell(self, x: float, y: float) -> tuple:
-        col = int(math.floor((x - self.origin[0]) / self.cell_size))
-        row = int(math.floor((y - self.origin[1]) / self.cell_size))
+        col = int(math.floor((x - self.origin[0]) / CELL_SIZE))
+        row = int(math.floor((y - self.origin[1]) / CELL_SIZE))
         return (row, col)
 
     def cell_center(self, cell: tuple) -> tuple:
         row, col = cell
-        return (self.origin[0] + (col + 0.5) * self.cell_size,
-                self.origin[1] + (row + 0.5) * self.cell_size)
+        return (self.origin[0] + (col + 0.5) * CELL_SIZE,
+                self.origin[1] + (row + 0.5) * CELL_SIZE)
 
     def in_bounds(self, cell: tuple) -> bool:
         return 0 <= cell[0] < self.cells.shape[0] and 0 <= cell[1] < self.cells.shape[1]
@@ -84,8 +83,8 @@ class Trajectory:
 
 def _mark(grid: OccupancyGrid, x, y, keep, value: int):
     """Set the cells under the world points (x, y) where keep holds to value."""
-    cols = np.floor((x - grid.origin[0]) / grid.cell_size).astype(int)
-    rows = np.floor((y - grid.origin[1]) / grid.cell_size).astype(int)
+    cols = np.floor((x - grid.origin[0]) / CELL_SIZE).astype(int)
+    rows = np.floor((y - grid.origin[1]) / CELL_SIZE).astype(int)
     ok = (keep & (rows >= 0) & (rows < grid.cells.shape[0])
           & (cols >= 0) & (cols < grid.cells.shape[1]))
     grid.cells[rows[ok], cols[ok]] = value
@@ -112,7 +111,7 @@ def update_occupancy(grid: OccupancyGrid, frame: FrameObservation,
     hit = np.isfinite(col_depth)
     depths = np.where(hit, col_depth, MAX_RANGE)
 
-    step = grid.cell_size * 0.5
+    step = CELL_SIZE * 0.5
     ts = np.arange(step, MAX_RANGE + step, step)            # (T,)
     # no sample past the farthest return frees a cell; cutting in blocks of 40
     # keeps the (T, W) temporaries to a few sizes, which the allocator reuses

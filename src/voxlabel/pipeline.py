@@ -41,9 +41,9 @@ logger = logging.getLogger(__name__)
 class RunConfig(JsonDataclass):
     """The settings of a run. config.json is its JsonDataclass to_json, and
     config_hash hashes that file's canonical text. Camera height, sensing
-    range, occupancy cell size and occlusion tolerance are fixed: Pose's
-    default height, scene.MAX_RANGE, explore.CELL_SIZE and the default of
-    project_instance_masks."""
+    range, occupancy cell size and occlusion tolerance are fixed:
+    scene.CAMERA_HEIGHT, scene.MAX_RANGE, explore.CELL_SIZE and 2 *
+    voxel_size; eval matches at IoU 0.5."""
 
     scene_file: str | None = None
     scene_params: SceneParams = field(default_factory=SceneParams)
@@ -254,8 +254,8 @@ def _upstream(config: RunConfig):
         stage = "labels"
         dataset = build_pseudo_dataset(
             trajectory, build_labels(trajectory, config), config.camera)
-        files.append((stage, "pseudo_dataset.json",
-                      _coco_text(dataset, config.camera)))
+        coco = _round_floats(dataset_to_coco(dataset, config.camera), 6)
+        files.append((stage, "pseudo_dataset.json", canonical_dumps(coco) + "\n"))
 
         stage = "eval"
         pseudo, raw = (evaluate_pseudo_labels(
@@ -269,13 +269,6 @@ def _upstream(config: RunConfig):
     except Exception as exc:
         return files, dataset, (stage, exc)
     return files, dataset, None
-
-
-def _coco_text(dataset, K: CameraIntrinsics) -> str:
-    coco = dataset_to_coco(dataset, K)
-    for ann in coco["annotations"]:   # the only floats; RLE counts are ints
-        ann["lambda_bar"] = [round(x, 6) for x in ann["lambda_bar"]]
-    return canonical_dumps(coco) + "\n"
 
 
 _ARTIFACTS = ("config.json", "scene.json", "trajectory.jsonl",

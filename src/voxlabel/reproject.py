@@ -1,7 +1,7 @@
 """Project extracted 3D instances back onto every frame as pseudo-labels.
 
 Each instance voxel's centre, computed once per map, is projected through the
-camera; a depth-buffer test with a small tolerance handles occlusion, and each
+camera; a depth-buffer test within 2 voxel sizes handles occlusion, and each
 accepted voxel splats its square footprint so masks stay dense. Overlaps
 resolve on each accepted voxel's rank in (depth, uid) order, spread over each
 footprint radius by a separable square-window minimum: nearer depth wins, an
@@ -68,23 +68,18 @@ class PseudoDataset:
 
 
 def project_instance_masks(vmap: SemanticVoxelMap, frame: FrameObservation,
-                           K: CameraIntrinsics,
-                           occlusion_tolerance: float | None = None
-                           ) -> list[PseudoLabel]:
+                           K: CameraIntrinsics) -> list[PseudoLabel]:
     """Pseudo-labels for every instance visible in this frame.
 
     A voxel claims its projected pixel iff the pixel is in bounds, the voxel
     is in front of the camera, and the projected depth matches the frame depth
-    within the tolerance (default 2 * voxel_size). Claimed pixels are dilated
+    within an occlusion tolerance of 2 * voxel_size. Claimed pixels are dilated
     by the voxel's projected footprint. Where footprints overlap, the nearer
     depth wins and an exact depth tie goes to the lower uid. Labels come in
     ascending uid order, one per instance that wins at least one pixel.
     """
     if not vmap.extracted:
         raise ValueError("map must be extracted before reprojection")
-    tol = 2.0 * vmap.voxel_size if occlusion_tolerance is None else occlusion_tolerance
-    if tol < 0:
-        raise ValueError(f"occlusion_tolerance must be non-negative, got {tol}")
     H, W = K.height, K.width
     u, v, d = world_to_pixel(vmap.member_centres, K, frame.pose)
     # np.round halves to even, so u = W - 0.5 is in bounds when W is odd: a
@@ -95,7 +90,7 @@ def project_instance_masks(vmap: SemanticVoxelMap, frame: FrameObservation,
     inside = (ui < W) & (vi < H)
     ok, ui, vi = ok[inside], ui[inside], vi[inside]
     frame_d = frame.depth[vi, ui]
-    hit = (frame_d > 0) & (np.abs(d[ok] - frame_d) <= tol)
+    hit = (frame_d > 0) & (np.abs(d[ok] - frame_d) <= 2.0 * vmap.voxel_size)
     if not hit.any():
         return []
     pix, d, owner = vi[hit] * W + ui[hit], d[ok[hit]], vmap.member_uid[ok[hit]]

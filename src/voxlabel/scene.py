@@ -18,8 +18,10 @@ from .serialize import JsonDataclass, canonical_dumps, write_atomic
 CLASS_NAMES = ("toilet", "couch", "bed", "dining table", "potting plant", "tv")
 NUM_CLASSES = len(CLASS_NAMES)
 
-# Sensing range (m): the renderer's default and the occupancy grid's ray length.
+# Sensing range (m) of the renderer and the occupancy grid's ray length.
 MAX_RANGE = 10.0
+# Height (m) of the camera above the floor, the z of every pose.
+CAMERA_HEIGHT = 1.25
 
 # Nominal object footprints (dx, dy, height) in meters, per class.
 CLASS_SIZES = (
@@ -50,6 +52,7 @@ class Box(JsonDataclass):
     zmax: float
 
     def __post_init__(self):
+        self._require("finite", *self.__dataclass_fields__)
         if not (self.xmax > self.xmin and self.ymax > self.ymin and self.zmax > self.zmin):
             raise ValueError(f"box has non-positive extent: {self}")
 
@@ -138,12 +141,12 @@ def normalize_angle(a: float) -> float:
 
 @dataclass(frozen=True)
 class Pose(JsonDataclass):
-    """Camera position (m) and yaw (rad, wrapped to [-pi, pi)); a JsonDataclass."""
+    """Camera position (m) at height CAMERA_HEIGHT and yaw (rad, wrapped to
+    [-pi, pi)); a JsonDataclass."""
 
     x: float
     y: float
     yaw: float
-    camera_height: float = 1.25
 
     def __post_init__(self):
         object.__setattr__(self, "yaw", normalize_angle(self.yaw))
@@ -266,9 +269,9 @@ def generate_scene(params: SceneParams, seed: int) -> SceneSpec:
                      objects=tuple(objects), seed=seed)
 
 
-def render_frame(scene: SceneSpec, pose: Pose, K: CameraIntrinsics,
-                 max_range: float = MAX_RANGE) -> FrameObservation:
-    """Nearest ray/box hit per pixel by the slab method, box by box over its spans.
+def render_frame(scene: SceneSpec, pose: Pose, K: CameraIntrinsics) -> FrameObservation:
+    """Nearest ray/box hit per pixel within MAX_RANGE by the slab method, box by
+    box over its spans, from a camera at height CAMERA_HEIGHT.
 
     Needs zero camera pitch and roll and axis-aligned boxes, so that a column
     shares one horizontal ray direction and a row one vertical component: each
@@ -287,7 +290,7 @@ def render_frame(scene: SceneSpec, pose: Pose, K: CameraIntrinsics,
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
     us = (np.arange(W) + 0.0 - K.cx) / K.fx
     vs = (np.arange(H) + 0.0 - K.cy) / K.fy
-    origin = (pose.x, pose.y, pose.camera_height)
+    origin = (pose.x, pose.y, CAMERA_HEIGHT)
     lo = np.array([(b.xmin, b.ymin, b.zmin) for b in boxes]) - origin  # (M, 3)
     hi = np.array([(b.xmax, b.ymax, b.zmax) for b in boxes]) - origin
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -302,8 +305,8 @@ def render_frame(scene: SceneSpec, pose: Pose, K: CameraIntrinsics,
     far_xy = np.fmin.reduce(np.maximum(t1, t2), axis=-1)
     near_z, far_z = np.minimum(z1, z2), np.maximum(z1, z2)        # (M, H)
     eps = 1e-9
-    cols = ~((far_xy < near_xy) | (far_xy <= eps) | (near_xy > max_range))
-    rows = ~((far_z < near_z) | (far_z <= eps) | (near_z > max_range))
+    cols = ~((far_xy < near_xy) | (far_xy <= eps) | (near_xy > MAX_RANGE))
+    rows = ~((far_z < near_z) | (far_z <= eps) | (near_z > MAX_RANGE))
     n_obstacles = len(scene.obstacles)
     for m in np.flatnonzero(cols.any(1) & rows.any(1)).tolist():
         cs, rs = np.flatnonzero(cols[m]), np.flatnonzero(rows[m])
@@ -311,7 +314,7 @@ def render_frame(scene: SceneSpec, pose: Pose, K: CameraIntrinsics,
         tnear = np.fmax(near_xy[m, span[1]], near_z[m, span[0], None])
         tfar = np.fmin(far_xy[m, span[1]], far_z[m, span[0], None])
         nearest = depth[span]
-        hit = (tfar >= tnear) & (tnear > eps) & (tnear <= max_range) & (tnear < nearest)
+        hit = (tfar >= tnear) & (tnear > eps) & (tnear <= MAX_RANGE) & (tnear < nearest)
         nearest[hit] = tnear[hit]
         if m >= n_obstacles:   # every obstacle precedes every object
             gt[span][hit] = m - n_obstacles
@@ -336,7 +339,7 @@ def pixel_to_world(u, v, d, K: CameraIntrinsics, pose: Pose) -> np.ndarray:
     pts = np.empty((3, *np.broadcast(X, Y, d).shape))
     pts[0] = X * s + d * c + pose.x
     pts[1] = -(X * c) + d * s + pose.y
-    pts[2] = -Y + pose.camera_height
+    pts[2] = -Y + CAMERA_HEIGHT
     return np.moveaxis(pts, 0, -1)
 
 
@@ -354,7 +357,7 @@ def world_to_pixel(p, K: CameraIntrinsics, pose: Pose):
     p = np.asarray(p, dtype=float)
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
     dx, dy = p[..., 0] - pose.x, p[..., 1] - pose.y
-    X, Y, Z = dx * s - dy * c, -(p[..., 2] - pose.camera_height), dx * c + dy * s
+    X, Y, Z = dx * s - dy * c, -(p[..., 2] - CAMERA_HEIGHT), dx * c + dy * s
     with np.errstate(divide="ignore", invalid="ignore"):
         u = X / Z * K.fx + K.cx
         v = Y / Z * K.fy + K.cy

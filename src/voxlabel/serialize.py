@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 import typing
@@ -51,8 +52,12 @@ class JsonDataclass:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
-_RULES = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0,
-          "at least 1": lambda v: v >= 1, "in [0, 1]": lambda v: 0 <= v <= 1}
+# a bound of math.inf rejects infinities (and NaN) without converting an int
+_RULES = {"positive": lambda v: 0 < v < math.inf,
+          "non-negative": lambda v: 0 <= v < math.inf,
+          "at least 1": lambda v: 1 <= v < math.inf,
+          "in [0, 1]": lambda v: 0 <= v <= 1,
+          "finite": lambda v: -math.inf < v < math.inf}
 
 
 def _encode(value):

@@ -33,4 +33,4 @@ def box_scene():
 
 @pytest.fixture
 def pose_origin():
-    return Pose(x=1.0, y=4.0, yaw=0.0, camera_height=1.25)
+    return Pose(x=1.0, y=4.0, yaw=0.0)

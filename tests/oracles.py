@@ -10,11 +10,14 @@ import math
 
 import numpy as np
 
+from voxlabel.scene import CAMERA_HEIGHT, MAX_RANGE
+
 
 # ---------------------------------------------------------------- rendering
 
-def ray_march_depth(scene, pose, K, u, v, max_range=10.0, step=0.001):
-    """Planar depth at pixel (u, v) by marching 1 mm along the ray.
+def ray_march_depth(scene, pose, K, u, v, step=0.001):
+    """Planar depth at pixel (u, v) by marching 1 mm along the ray, out to
+    MAX_RANGE.
 
     Returns (depth, gt_id); depth 0.0 / gt_id -1 when nothing is hit.
     """
@@ -23,11 +26,11 @@ def ray_march_depth(scene, pose, K, u, v, max_range=10.0, step=0.001):
     down = np.array([0.0, 0.0, -1.0])
     forward = np.array([c, s, 0.0])
     direction = ((u - K.cx) / K.fx) * right + ((v - K.cy) / K.fy) * down + forward
-    origin = np.array([pose.x, pose.y, pose.camera_height])
+    origin = np.array([pose.x, pose.y, CAMERA_HEIGHT])
     boxes = [(b, None) for b in scene.obstacles] + \
             [(o.box, o.gt_id) for o in scene.objects]
     t = step
-    while t <= max_range:
+    while t <= MAX_RANGE:
         p = origin + t * direction
         for box, gt_id in boxes:
             if (box.xmin <= p[0] <= box.xmax and box.ymin <= p[1] <= box.ymax
@@ -60,7 +63,7 @@ def _fmin(a, b):
     return b if math.isnan(a) else a if math.isnan(b) else min(a, b)
 
 
-def slab_render(scene, pose, K, max_range=10.0, eps=1e-9):
+def slab_render(scene, pose, K, eps=1e-9):
     """(depth, gt_instance) images by a scalar slab test per pixel and box.
 
     Each ray is (u - cx) / fx * right + (v - cy) / fy * down + forward, so t
@@ -68,12 +71,12 @@ def slab_render(scene, pose, K, max_range=10.0, eps=1e-9):
     via the reciprocal of d, as float64 scalars. The entry is the NaN-skipping
     max of the per-axis minima (x, then y, then z), the exit the NaN-skipping
     min of the maxima; a box is hit when exit >= entry, entry > eps and entry
-    <= max_range. Boxes are scanned obstacles first, then objects, and a hit
+    <= MAX_RANGE. Boxes are scanned obstacles first, then objects, and a hit
     replaces the pixel's nearest only when strictly nearer, so an exact depth
     tie keeps the lower index. depth 0.0 and gt -1 where nothing is hit.
     """
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-    origin = (pose.x, pose.y, pose.camera_height)
+    origin = (pose.x, pose.y, CAMERA_HEIGHT)
     boxes = [(b, -1) for b in scene.obstacles] + \
             [(o.box, o.gt_id) for o in scene.objects]
     depth = np.zeros((K.height, K.width))
@@ -94,7 +97,7 @@ def slab_render(scene, pose, K, max_range=10.0, eps=1e-9):
                              _minimum(t1[2], t2[2]))
                 far = _fmin(_fmin(_maximum(t1[0], t2[0]), _maximum(t1[1], t2[1])),
                             _maximum(t1[2], t2[2]))
-                if far >= near and near > eps and near <= max_range and near < best:
+                if far >= near and near > eps and near <= MAX_RANGE and near < best:
                     best = near
                     depth[v, u], gt[v, u] = near, gt_id
     return depth, gt
@@ -107,7 +110,7 @@ def project_homogeneous(p, K, pose):
     R_wc = np.array([[s, 0.0, c],
                      [-c, 0.0, s],
                      [0.0, -1.0, 0.0]])
-    t_wc = np.array([pose.x, pose.y, pose.camera_height])
+    t_wc = np.array([pose.x, pose.y, CAMERA_HEIGHT])
     T = np.eye(4)
     T[:3, :3] = R_wc.T
     T[:3, 3] = -R_wc.T @ t_wc
@@ -127,7 +130,7 @@ def _basis(pose):
 
 
 def _position(pose):
-    return np.array([pose.x, pose.y, pose.camera_height])
+    return np.array([pose.x, pose.y, CAMERA_HEIGHT])
 
 
 def general_basis_pixel_to_world(u, v, d, K, pose):
@@ -252,12 +255,12 @@ def astar_path(cells_free, start, goal, extra_blocked=frozenset()):
 
 
 def occupancy_by_column_march(cells, frame, K, cell_size, origin,
-                              max_range=10.0, free=1, occupied=2):
+                              free=1, occupied=2):
     """Occupancy update by a python march per image column.
 
     Each column's track is sampled at every t = step, 2 step, ... up to
-    max_range (step = cell_size / 2), with no cut at the frame's farthest
-    return; samples short of the column's nearest positive depth (max_range
+    MAX_RANGE (step = cell_size / 2), with no cut at the frame's farthest
+    return; samples short of the column's nearest positive depth (MAX_RANGE
     when there is none) free their cell, then each return's cell becomes
     occupied. Mutates and returns cells.
     """
@@ -265,7 +268,7 @@ def occupancy_by_column_march(cells, frame, K, cell_size, origin,
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
     rows, cols = cells.shape
     step = cell_size * 0.5
-    ts = np.arange(step, max_range + step, step).tolist()
+    ts = np.arange(step, MAX_RANGE + step, step).tolist()
 
     def cell_of(x, y):
         col = math.floor((x - origin[0]) / cell_size)
@@ -277,7 +280,7 @@ def occupancy_by_column_march(cells, frame, K, cell_size, origin,
         us = (u - K.cx) / K.fx
         dx, dy = c + us * s, s + us * -c
         hits = [float(d) for d in frame.depth[:, u] if d > 0]
-        depth = min(hits) if hits else max_range
+        depth = min(hits) if hits else MAX_RANGE
         for t in ts:
             cell = cell_of(pose.x + t * dx, pose.y + t * dy)
             if t < depth - 1e-9 and cell is not None:
@@ -428,7 +431,7 @@ def mean_softmax(logit_vectors):
 
 # ---------------------------------------------------------------- reproject
 
-def painter_reproject(instance_keys, voxel_size, depth, K, pose, tolerance):
+def painter_reproject(instance_keys, voxel_size, depth, K, pose):
     """Winning instance uid per pixel (-1 where none) by a python painter.
 
     instance_keys: dict uid -> iterable of voxel keys (ix, iy, iz). Instances
@@ -436,7 +439,7 @@ def painter_reproject(instance_keys, voxel_size, depth, K, pose, tolerance):
     footprint pixel; a pixel takes the voxel's planar depth only when it is
     strictly nearer than the z-buffer, so the nearer depth wins and an exact
     tie keeps the lower uid. A voxel paints only when its centre projects in
-    bounds, in front of the camera, and within `tolerance` of a non-zero
+    bounds, in front of the camera, and within 2 * voxel_size of a non-zero
     frame depth; its footprint radius is ceil(voxel_size * fx / (2 * depth)).
     """
     H, W = K.height, K.width
@@ -446,7 +449,7 @@ def painter_reproject(instance_keys, voxel_size, depth, K, pose, tolerance):
     for uid in sorted(instance_keys):
         for key in sorted(instance_keys[uid]):
             px, py, pz = ((k + 0.5) * voxel_size for k in key)
-            dx, dy, dz = px - pose.x, py - pose.y, pz - pose.camera_height
+            dx, dy, dz = px - pose.x, py - pose.y, pz - CAMERA_HEIGHT
             z = dx * c + dy * s
             if z <= 0:
                 continue
@@ -455,7 +458,7 @@ def painter_reproject(instance_keys, voxel_size, depth, K, pose, tolerance):
             if not (0 <= u < W and 0 <= v < H):
                 continue
             frame_d = float(depth[v][u])
-            if not (frame_d > 0 and abs(z - frame_d) <= tolerance):
+            if not (frame_d > 0 and abs(z - frame_d) <= 2.0 * voxel_size):
                 continue
             r = math.ceil(voxel_size * K.fx / (2.0 * z))
             for tv in range(v - r, v + r + 1):
@@ -561,18 +564,14 @@ def iou_ref(a, b):
     return inter / union
 
 
-def ap_brute_force(pred_boxes, pred_scores, gt_boxes, iou_thresh=0.5,
-                   pred_frames=None, gt_frames=None):
-    """AP by explicit PR-curve point enumeration with greedy matching."""
+def ap_brute_force(pred_boxes, pred_scores, gt_boxes, pred_frames, gt_frames):
+    """AP at IoU 0.5 by explicit PR-curve point enumeration with greedy
+    matching."""
     n_gt = len(gt_boxes)
     if n_gt == 0:
         return None
     if not pred_boxes:
         return 0.0
-    if pred_frames is None:
-        pred_frames = [0] * len(pred_boxes)
-    if gt_frames is None:
-        gt_frames = [0] * n_gt
     order = sorted(range(len(pred_boxes)), key=lambda i: (-pred_scores[i], i))
     matched = set()
     points = []   # (recall, precision) after each prediction
@@ -584,7 +583,7 @@ def ap_brute_force(pred_boxes, pred_scores, gt_boxes, iou_thresh=0.5,
             if j in matched or gt_frames[j] != pred_frames[i]:
                 continue
             v = iou_ref(pred_boxes[i], gt_boxes[j])
-            if v >= iou_thresh and v > best_v:
+            if v >= 0.5 and v > best_v:
                 best, best_v = j, v
         if best is not None:
             matched.add(best)

@@ -191,7 +191,7 @@ class TestAcceptance:
         n_per_yaw = 1000 // 16 + 1
         for yaw in np.linspace(-math.pi, math.pi, 16, endpoint=False):
             pose = Pose(x=float(rng.uniform(-3, 3)), y=float(rng.uniform(-3, 3)),
-                        yaw=float(yaw), camera_height=1.25)
+                        yaw=float(yaw))
             u = rng.uniform(0, CAM.width, n_per_yaw)
             v = rng.uniform(0, CAM.height, n_per_yaw)
             d = rng.uniform(0.05, 9.5, n_per_yaw)
@@ -260,8 +260,8 @@ class TestAcceptance:
                           objects=(ObjectInstance(0, 2,
                                                   Box(3.0, -1.0, 0.0,
                                                       4.2, 1.0, 2.0)),))
-        poses = [Pose(0.5, 0.0, 0.0, camera_height=1.25),
-                 Pose(0.5, 0.4, -0.1, camera_height=1.25)]
+        poses = [Pose(0.5, 0.0, 0.0),
+                 Pose(0.5, 0.4, -0.1)]
         frames = [render_frame(scene, p, CAM) for p in poses]
         from voxlabel.detector import simulate_detections
         det0 = simulate_detections(frames[0], scene, NoiseModel.noiseless(),

@@ -88,7 +88,7 @@ class TestAccumulate:
     def test_single_pixel_lands_in_expected_voxel(self, cam):
         depth = np.zeros((cam.height, cam.width))
         depth[24, 32] = 2.0
-        frame = FrameObservation(pose=Pose(0, 0, 0, camera_height=1.25),
+        frame = FrameObservation(pose=Pose(0, 0, 0),
                                  depth=depth, gt_instance=np.full(depth.shape, -1,
                                                                   dtype=np.int32))
         mask = depth > 0
@@ -107,7 +107,7 @@ class TestAccumulate:
         rng = np.random.default_rng(3)
         depth = rng.uniform(0.5, 4.0, (cam_small.height, cam_small.width))
         depth[rng.random(depth.shape) < 0.2] = 0.0
-        pose = Pose(1.0, -0.5, 0.7, camera_height=1.25)
+        pose = Pose(1.0, -0.5, 0.7)
         frame = FrameObservation(pose=pose, depth=depth,
                                  gt_instance=np.full(depth.shape, -1,
                                                      dtype=np.int32))
@@ -393,7 +393,7 @@ class TestPipelineLevel:
         frames = []
         for yaw in [0.0, 0.05]:
             depth = np.full((cam_small.height, cam_small.width), 2.0)
-            pose = Pose(0.0, 0.0, yaw, camera_height=1.25)
+            pose = Pose(0.0, 0.0, yaw)
             frame = FrameObservation(pose=pose, depth=depth,
                                      gt_instance=np.zeros(depth.shape,
                                                           dtype=np.int32))

@@ -102,7 +102,7 @@ def visible_scene(cam):
 
 class TestSimulateDetections:
     def test_noiseless_identity(self, cam, visible_scene):
-        pose = Pose(x=0.5, y=0.0, yaw=0.0, camera_height=1.25)
+        pose = Pose(x=0.5, y=0.0, yaw=0.0)
         frame = render_frame(visible_scene, pose, cam)
         noise = NoiseModel.noiseless()
         out = simulate_detections(frame, visible_scene, noise,
@@ -117,7 +117,7 @@ class TestSimulateDetections:
             assert det.bbox == mask_bbox(det.mask)
 
     def test_full_dropout_empty(self, cam, visible_scene):
-        pose = Pose(x=0.5, y=0.0, yaw=0.0, camera_height=1.25)
+        pose = Pose(x=0.5, y=0.0, yaw=0.0)
         frame = render_frame(visible_scene, pose, cam)
         noise = NoiseModel(dropout_base=1.0)
         out = simulate_detections(frame, visible_scene, noise,
@@ -125,7 +125,7 @@ class TestSimulateDetections:
         assert out.detections == []
 
     def test_score_above_threshold(self, cam, visible_scene):
-        pose = Pose(x=0.5, y=0.0, yaw=0.0, camera_height=1.25)
+        pose = Pose(x=0.5, y=0.0, yaw=0.0)
         frame = render_frame(visible_scene, pose, cam)
         noise = NoiseModel.uniform_confusion(0.75, logit_noise_sigma=2.0)
         for seed in range(10):
@@ -135,7 +135,7 @@ class TestSimulateDetections:
                 assert det.score >= noise.score_threshold
 
     def test_deterministic_given_seed(self, cam, visible_scene):
-        pose = Pose(x=0.5, y=0.0, yaw=0.3, camera_height=1.25)
+        pose = Pose(x=0.5, y=0.0, yaw=0.3)
         frame = render_frame(visible_scene, pose, cam)
         noise = NoiseModel.uniform_confusion(0.7, dropout_base=0.2,
                                              mask_jitter_px=1)
@@ -169,7 +169,7 @@ class TestSimulateDetections:
         assert abs(flips / 10_000 - 0.20) <= 0.01
 
     def test_jitter_changes_mask_but_not_partition_guarantee(self, cam, visible_scene):
-        pose = Pose(x=0.5, y=0.0, yaw=0.0, camera_height=1.25)
+        pose = Pose(x=0.5, y=0.0, yaw=0.0)
         frame = render_frame(visible_scene, pose, cam)
         noise = NoiseModel(mask_jitter_px=2)
         out = simulate_detections(frame, visible_scene, noise,
@@ -208,7 +208,7 @@ class TestJitterMask:
 
 class TestSerialization:
     def test_detection_set_round_trip(self, cam, visible_scene):
-        pose = Pose(x=0.5, y=0.0, yaw=0.0, camera_height=1.25)
+        pose = Pose(x=0.5, y=0.0, yaw=0.0)
         frame = render_frame(visible_scene, pose, cam)
         out = simulate_detections(frame, visible_scene, NoiseModel.noiseless(),
                                   np.random.default_rng(0))

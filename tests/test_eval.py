@@ -58,24 +58,25 @@ class TestIou:
 
 class TestAveragePrecision:
     def test_perfect_single(self):
-        assert average_precision([(0, 0, 9, 9)], [0.9], [(0, 0, 9, 9)]) == 1.0
+        assert average_precision([(0, 0, 9, 9)], [0.9], [(0, 0, 9, 9)],
+                                 [0], [0]) == 1.0
 
     def test_no_gt_returns_none(self):
-        assert average_precision([(0, 0, 9, 9)], [0.9], []) is None
+        assert average_precision([(0, 0, 9, 9)], [0.9], [], [0], []) is None
 
     def test_no_predictions_zero(self):
-        assert average_precision([], [], [(0, 0, 9, 9)]) == 0.0
+        assert average_precision([], [], [(0, 0, 9, 9)], [], [0]) == 0.0
 
     def test_fp_before_tp(self):
         # high-scoring miss then a hit: precision at recall 1 is 1/2
         ap = average_precision([(50, 50, 59, 59), (0, 0, 9, 9)], [0.9, 0.8],
-                               [(0, 0, 9, 9)])
+                               [(0, 0, 9, 9)], [0, 0], [0])
         assert ap == pytest.approx(0.5)
 
     def test_half_recall(self):
         # one of two gt boxes found with a perfect prediction
         ap = average_precision([(0, 0, 9, 9)], [0.9],
-                               [(0, 0, 9, 9), (50, 50, 59, 59)])
+                               [(0, 0, 9, 9), (50, 50, 59, 59)], [0], [0, 0])
         assert ap == pytest.approx(0.5)
 
     def test_frames_keep_matches_apart(self):
@@ -87,7 +88,7 @@ class TestAveragePrecision:
     def test_duplicate_predictions_single_gt(self):
         # the second identical prediction is a FP and halves the tail precision
         ap = average_precision([(0, 0, 9, 9), (0, 0, 9, 9)], [0.9, 0.8],
-                               [(0, 0, 9, 9)])
+                               [(0, 0, 9, 9)], [0, 0], [0])
         assert ap == pytest.approx(1.0)  # envelope keeps the early precision
 
     def test_fp_insertion_never_raises_ap(self):
@@ -95,12 +96,13 @@ class TestAveragePrecision:
         gt = [(0, 0, 9, 9), (20, 20, 29, 29)]
         preds = [(0, 0, 9, 9), (20, 20, 29, 29)]
         scores = [0.9, 0.8]
-        base = average_precision(preds, scores, gt)
+        base = average_precision(preds, scores, gt, [0, 0], [0, 0])
         for _ in range(20):
             x = int(rng.integers(40, 90))
             preds2 = preds + [(x, x, x + 5, x + 5)]
             scores2 = scores + [float(rng.random())]
-            assert average_precision(preds2, scores2, gt) <= base + 1e-12
+            assert average_precision(preds2, scores2, gt, [0, 0, 0],
+                                     [0, 0]) <= base + 1e-12
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(21)

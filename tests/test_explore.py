@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from voxlabel.detector import NoiseModel
-from voxlabel.explore import (FREE, OCCUPIED, UNKNOWN, Action, AgentState,
-                              OccupancyGrid, frontier_goals, next_goal,
+from voxlabel.explore import (CELL_SIZE, FREE, OCCUPIED, UNKNOWN, Action,
+                              AgentState, OccupancyGrid, frontier_goals, next_goal,
                               plan_path, run_episode, step_agent,
                               update_occupancy)
 from voxlabel.pipeline import trajectory_to_jsonl
@@ -18,9 +18,8 @@ from oracles import (astar_path, bfs_path_cost, frontier_scan, next_goal_by_bfs,
                      occupancy_by_column_march)
 
 
-def empty_grid(rows=40, cols=40, cell=0.1):
-    return OccupancyGrid(cell_size=cell,
-                         cells=np.zeros((rows, cols), dtype=np.uint8),
+def empty_grid(rows=40, cols=40):
+    return OccupancyGrid(cells=np.zeros((rows, cols), dtype=np.uint8),
                          origin=(0.0, 0.0))
 
 
@@ -29,7 +28,7 @@ class TestUpdateOccupancy:
         bounds = Box(0, 0, 0, 4, 4, 3)
         wall = Box(1.05, 0, 0, 1.15, 4, 3)
         scene = SceneSpec(bounds=bounds, obstacles=(wall,), objects=())
-        pose = Pose(x=0.05, y=2.05, yaw=0.0, camera_height=1.25)
+        pose = Pose(x=0.05, y=2.05, yaw=0.0)
         frame = render_frame(scene, pose, cam)
         grid = OccupancyGrid.for_scene(scene)
         update_occupancy(grid, frame, cam)
@@ -40,15 +39,15 @@ class TestUpdateOccupancy:
 
     def test_empty_scene_wedge(self, cam):
         scene = SceneSpec(bounds=Box(0, 0, 0, 30, 30, 3), obstacles=(), objects=())
-        pose = Pose(x=15.0, y=15.0, yaw=0.0, camera_height=1.25)
+        pose = Pose(x=15.0, y=15.0, yaw=0.0)
         frame = render_frame(scene, pose, cam)
         grid = OccupancyGrid.for_scene(scene)
         update_occupancy(grid, frame, cam)
         assert not (grid.cells == OCCUPIED).any()
         half_fov = math.atan((cam.width / 2) / cam.fx)
         rows, cols = np.nonzero(grid.cells == FREE)
-        xs = (cols + 0.5) * grid.cell_size - pose.x
-        ys = (rows + 0.5) * grid.cell_size - pose.y
+        xs = (cols + 0.5) * CELL_SIZE - pose.x
+        ys = (rows + 0.5) * CELL_SIZE - pose.y
         angles = np.arctan2(ys, xs)
         # free cells past the near field sit inside the horizontal FOV
         far = np.hypot(xs, ys) > 1.0
@@ -57,8 +56,8 @@ class TestUpdateOccupancy:
         assert np.hypot(xs, ys).max() > 9.0
 
     def test_two_frames_union(self, cam, box_scene):
-        p1 = Pose(x=2.0, y=2.0, yaw=0.3, camera_height=1.25)
-        p2 = Pose(x=2.0, y=2.0, yaw=0.3 + math.pi, camera_height=1.25)
+        p1 = Pose(x=2.0, y=2.0, yaw=0.3)
+        p2 = Pose(x=2.0, y=2.0, yaw=0.3 + math.pi)
         f1 = render_frame(box_scene, p1, cam)
         f2 = render_frame(box_scene, p2, cam)
         both = OccupancyGrid.for_scene(box_scene)
@@ -169,11 +168,11 @@ class TestGoalSearchOracle:
             rows, cols = (int(n) for n in rng.integers(3, 25, size=2))
             cells = rng.choice([UNKNOWN, FREE, OCCUPIED], size=(rows, cols),
                                p=[0.25, 0.6, 0.15]).astype(np.uint8)
-            grid = OccupancyGrid(cell_size=0.1, cells=cells, origin=(0.0, 0.0))
+            grid = OccupancyGrid(cells=cells, origin=(0.0, 0.0))
             # the agent cell, sometimes outside the grid
             start = (int(rng.integers(-1, rows + 1)), int(rng.integers(-1, cols + 1)))
-            agent = AgentState(pose=Pose(x=(start[1] + 0.5) * 0.1,
-                                         y=(start[0] + 0.5) * 0.1, yaw=0.0))
+            agent = AgentState(pose=Pose(x=(start[1] + 0.5) * CELL_SIZE,
+                                         y=(start[0] + 0.5) * CELL_SIZE, yaw=0.0))
             blocked = {(int(rng.integers(-2, rows + 2)), int(rng.integers(-2, cols + 2)))
                        for _ in range(rng.integers(0, 6))}
             if rng.random() < 0.1:
@@ -216,15 +215,15 @@ class TestGoalSearchOracle:
         frames = []
         for _ in range(12):
             pose = Pose(x=float(rng.uniform(0.3, 7.7)), y=float(rng.uniform(0.3, 7.7)),
-                        yaw=float(rng.uniform(-math.pi, math.pi)), camera_height=1.25)
+                        yaw=float(rng.uniform(-math.pi, math.pi)))
             frames.append(render_frame(box_scene, pose, cam))
-        pose = Pose(x=4.0, y=4.0, yaw=0.7, camera_height=1.25)
+        pose = Pose(x=4.0, y=4.0, yaw=0.7)
         empty = np.zeros((cam.height, cam.width))
         frames.append(FrameObservation(pose, empty, empty.astype(np.int32) - 1))
         frames.append(FrameObservation(pose, empty + 0.03, frames[-1].gt_instance))
         for frame in frames:
             update_occupancy(grid, frame, cam)
-            occupancy_by_column_march(want, frame, cam, grid.cell_size,
+            occupancy_by_column_march(want, frame, cam, CELL_SIZE,
                                       grid.origin, free=FREE, occupied=OCCUPIED)
             assert (grid.cells == want).all()
         assert (want == FREE).any() and (want == OCCUPIED).any()
@@ -263,7 +262,7 @@ class TestPlanPath:
         checked = 0
         for _ in range(100):
             cells = (rng.random((30, 30)) > 0.3).astype(np.uint8)  # FREE=1
-            grid = OccupancyGrid(cell_size=0.1, cells=cells, origin=(0.0, 0.0))
+            grid = OccupancyGrid(cells=cells, origin=(0.0, 0.0))
             free = np.argwhere(cells == FREE)
             if len(free) < 2:
                 continue
@@ -287,7 +286,7 @@ class TestPlanPath:
             rows, cols = (int(n) for n in rng.integers(1, 20, size=2))
             cells = rng.choice([UNKNOWN, FREE, OCCUPIED], size=(rows, cols),
                                p=[0.1, 0.75, 0.15]).astype(np.uint8)
-            grid = OccupancyGrid(cell_size=0.1, cells=cells, origin=(0.0, 0.0))
+            grid = OccupancyGrid(cells=cells, origin=(0.0, 0.0))
             free = [tuple(int(i) for i in cell) for cell in np.argwhere(cells == FREE)]
 
             def cell():
@@ -412,10 +411,10 @@ REFERENCE_NOISE = NoiseModel.uniform_confusion(
 # default scene of each seed. A goal-search or occupancy change that moves
 # any pose or detection changes these.
 TRAJECTORY_SHA256 = {
-    ("frontier", 0): "28137c4c0dcf4e5cc9fe3eac18a92f87c6e55bac2b17ce05956e1414d125df49",
-    ("frontier", 4): "2c7d1df51fd4418cf4784cd102a46912260649643b6222f57de69475466c804b",
-    ("random", 0): "38fb8f2ef702bbbcc0261cdc68d16dfbeac552e578d03b0ac8f7c0f71e2cf221",
-    ("random", 4): "d16f89a9bb29aa5c716480ef477ba3fece49c5b1e01c9f1de8bb8cb47108bb06",
+    ("frontier", 0): "d82676c8e855d0d447c36a90f3c2be17bc242c951b5c4c28d45f8626f24227f1",
+    ("frontier", 4): "d7e30291af7be82caeef9646654530e19a43c23ca690036690c43e3ecf86d2c0",
+    ("random", 0): "ea2f668717f9448177c1e1b468a99072ce306f951e295f2709a144195f411a3f",
+    ("random", 4): "27e7d41474c919fc49b16bfc8ed1073155ce2f8c447ce069eb10f0f16ee46f84",
 }
 
 

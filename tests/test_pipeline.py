@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import multiprocessing
 import os
 from dataclasses import replace
@@ -249,6 +250,20 @@ class TestLoadRun:
             load_run(tmp_path)
 
 
+    def test_run_with_camera_height_in_its_poses_rejected(self, tmp_path):
+        # a run written while a pose held the camera height
+        run_pipeline(small_config(steps=3), tmp_path)
+        path = tmp_path / "trajectory.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in records:
+            record["pose"]["camera_height"] = 1.25
+        path.write_text("".join(canonical_dumps(r) + "\n" for r in records))
+        manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
+        manifest["files"]["trajectory.jsonl"] = sha256_file(path)
+        (tmp_path / "MANIFEST.json").write_text(canonical_dumps(manifest) + "\n")
+        with pytest.raises(ValueError, match="^camera_height: not a field of Pose$"):
+            load_run(tmp_path)
+
     @pytest.mark.parametrize("text", MALFORMED_MANIFESTS)
     def test_malformed_manifest_rejected(self, tmp_path, text):
         run_pipeline(small_config(steps=1), tmp_path)
@@ -352,6 +367,23 @@ class TestRunConfig:
         ({"train_config": {"seed": 5}}, "train_config.seed must be 0"),
         ({"train_config": {"feature_noise": -1}},
          "train_config.feature_noise must be non-negative, got -1.0"),
+        # json.load reads Infinity; the ranges are finite
+        ({"train": True, "alpha": math.inf}, "alpha must be non-negative, got inf"),
+        ({"train_config": {"feature_noise": math.inf}},
+         "train_config.feature_noise must be non-negative, got inf"),
+        ({"voxel_size": math.inf}, "voxel_size must be positive, got inf"),
+        ({"noise": {"dropout_per_meter": math.inf}},
+         "noise.dropout_per_meter must be non-negative, got inf"),
+        ({"noise": {"logit_noise_sigma": -1}},
+         "noise.logit_noise_sigma must be non-negative, got -1.0"),
+        ({"noise": {"logit_noise_sigma": math.nan}},
+         "noise.logit_noise_sigma must be non-negative, got nan"),
+        ({"noise": {"logit_sharpness": -10}},
+         "noise.logit_sharpness must be non-negative, got -10.0"),
+        ({"noise": {"logit_sharpness": math.nan}},
+         "noise.logit_sharpness must be non-negative, got nan"),
+        ({"noise": {"confusion": [[math.nan] * 6] * 6}},
+         "noise.confusion rows must be stochastic"),
     ])
     def test_from_json_range_error_names_dotted_field(self, data, message):
         with pytest.raises(ValueError, match=f"^{message}"):
@@ -632,8 +664,7 @@ def _array_holders():
     return [det, dets, label, voxlabel.PseudoDataset(frames=[[label]]), frame,
             voxlabel.InstanceRecord(0, 5, np.zeros((2, 3), dtype=np.int64),
                                     logits.copy()),
-            voxlabel.OccupancyGrid(0.1, np.zeros((3, 3), dtype=np.uint8),
-                                   (0.0, 0.0)),
+            voxlabel.OccupancyGrid(np.zeros((3, 3), dtype=np.uint8), (0.0, 0.0)),
             voxlabel.Trajectory(frames=[frame], detections=[dets]),
             voxlabel.LossValue(1.0, {"features": logits.copy()})]
 

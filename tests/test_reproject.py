@@ -65,7 +65,7 @@ class TestProjectInstanceMasks:
     def test_single_voxel_visible(self, cam):
         vmap = single_voxel_map()                 # center (2.025, 0.025, 1.275)
         center = (np.array([40, 0, 25]) + 0.5) * vmap.voxel_size
-        pose = Pose(0, 0, 0, camera_height=1.25)
+        pose = Pose(0, 0, 0)
         depth = np.full((cam.height, cam.width), 2.025)
         frame = FrameObservation(pose=pose, depth=depth,
                                  gt_instance=np.zeros(depth.shape, np.int32))
@@ -78,7 +78,7 @@ class TestProjectInstanceMasks:
 
     def test_single_voxel_occluded(self, cam):
         vmap = single_voxel_map()
-        pose = Pose(0, 0, 0, camera_height=1.25)
+        pose = Pose(0, 0, 0)
         depth = np.full((cam.height, cam.width), 1.0)   # occluder in front
         frame = FrameObservation(pose=pose, depth=depth,
                                  gt_instance=np.zeros(depth.shape, np.int32))
@@ -86,7 +86,7 @@ class TestProjectInstanceMasks:
 
     def test_behind_camera_invisible(self, cam):
         vmap = single_voxel_map()
-        pose = Pose(4.0, 0, np.pi / 2, camera_height=1.25)  # looking away
+        pose = Pose(4.0, 0, np.pi / 2)  # looking away
         depth = np.full((cam.height, cam.width), 2.0)
         frame = FrameObservation(pose=pose, depth=depth,
                                  gt_instance=np.zeros(depth.shape, np.int32))
@@ -122,20 +122,22 @@ class TestProjectInstanceMasks:
         vmap.add_observation([near_key], np.array([5.0, 0, 0, 0, 0, 0]), 0.9)
         vmap.add_observation([far_key], np.array([0, 5.0, 0, 0, 0, 0]), 0.9)
         finalize_map(vmap, min_instance_voxels=1)
-        pose = Pose(0, 0, 0, camera_height=1.25)
-        # depth image agrees with the *near* voxel on the shared ray
-        depth = np.full((cam.height, cam.width), 2.025)
+        pose = Pose(0, 0, 0)
+        u, v, _ = world_to_pixel((np.array([near_key, far_key]) + 0.5)
+                                 * vmap.voxel_size, cam, pose)
+        (u_near, u_far), (v_near, v_far) = (np.round(a).astype(int) for a in (u, v))
+        # neighbouring pixels whose depths agree with their own voxel, so
+        # both voxels pass the depth test and their 3x3 footprints overlap
+        assert abs(u_near - u_far) == abs(v_near - v_far) == 1
+        depth = np.full((cam.height, cam.width), 4.025)
+        depth[v_near, u_near] = 2.025
         frame = FrameObservation(pose=pose, depth=depth,
                                  gt_instance=np.zeros(depth.shape, np.int32))
-        labels = project_instance_masks(vmap, frame, cam,
-                                        occlusion_tolerance=10.0)
-        by_class = {lab.class_id: lab for lab in labels}
-        # the center pixel belongs to the nearer (class 0) instance
-        u, v, _ = world_to_pixel((np.array(near_key) + 0.5) * vmap.voxel_size,
-                                 cam, pose)
-        assert by_class[0].mask[int(round(v)), int(round(u))]
-        if 1 in by_class:
-            assert not by_class[1].mask[int(round(v)), int(round(u))]
+        near, far = assert_matches_painter(vmap, frame, cam)
+        assert (near.class_id, far.class_id) == (0, 1)
+        # the shared pixels, the far voxel's own included, go to the nearer
+        assert near.mask.sum() == 9 and near.mask[v_far, u_far]
+        assert far.mask.sum() == 5 and not (near.mask & far.mask).any()
 
     def test_requires_extraction(self, cam):
         vmap = SemanticVoxelMap()
@@ -144,15 +146,6 @@ class TestProjectInstanceMasks:
                                  gt_instance=np.zeros(depth.shape, np.int32))
         with pytest.raises(ValueError):
             project_instance_masks(vmap, frame, cam)
-
-    def test_rejects_negative_tolerance(self, cam):
-        vmap = single_voxel_map()
-        depth = np.full((cam.height, cam.width), 2.025)
-        frame = FrameObservation(pose=Pose(0, 0, 0, camera_height=1.25),
-                                 depth=depth,
-                                 gt_instance=np.zeros(depth.shape, np.int32))
-        with pytest.raises(ValueError, match="occlusion_tolerance"):
-            project_instance_masks(vmap, frame, cam, occlusion_tolerance=-0.1)
 
 
 class TestWindowMin:
@@ -180,14 +173,18 @@ def map_from_voxels(voxel_classes, voxel_size=0.05):
     return vmap
 
 
-def random_scene_map(seed, voxel_size):
+def random_scene_map(seed, voxel_size, tolerance=None):
     """Seeded blobs around a camera at the origin, and a frame whose depth
     agrees with most of the voxels.
 
     Blob centres lie from 1 m behind to 4 m in front of the camera (radius
     >= 2 footprints below 0.8 m at 5 cm voxels) and up to 20 % beyond the
     field of view, so footprints get clipped at the image border. Blobs of
-    one voxel become single-voxel instances.
+    one voxel become single-voxel instances. Each seen voxel's pixel holds
+    its depth plus an error of up to 0.25 m, written voxel by voxel, and 5 %
+    of the pixels hold no depth. Given a tolerance, the errors are scaled by
+    2 * voxel_size / tolerance: the voxel that wrote a pixel then passes the
+    fixed depth test of 2 * voxel_size as it would pass one of `tolerance`.
     """
     rng = np.random.default_rng(seed)
     voxels = {}
@@ -201,28 +198,28 @@ def random_scene_map(seed, voxel_size):
             centre = centre + rng.integers(-1, 2, 3)
             voxels[tuple(centre.tolist())] = class_id
     vmap = map_from_voxels(voxels, voxel_size)
-    pose = Pose(0.0, 0.0, float(rng.uniform(-0.2, 0.2)), camera_height=1.25)
+    pose = Pose(0.0, 0.0, float(rng.uniform(-0.2, 0.2)))
     K = CameraIntrinsics.default()
     depth = rng.uniform(0.3, 6.0, (K.height, K.width))
     keys = np.array(sorted(voxels))
     u, v, d = world_to_pixel((keys + 0.5) * voxel_size, K, pose)
     ui, vi = np.round(u), np.round(v)
     seen = (d > 0) & (ui >= 0) & (ui < K.width) & (vi >= 0) & (vi < K.height)
-    depth[vi[seen].astype(int), ui[seen].astype(int)] = \
-        d[seen] + rng.uniform(-0.25, 0.25, int(seen.sum()))
+    error = rng.uniform(-0.25, 0.25, int(seen.sum()))
+    if tolerance is not None:
+        error *= 2.0 * voxel_size / tolerance
+    depth[vi[seen].astype(int), ui[seen].astype(int)] = d[seen] + error
     depth[rng.random(depth.shape) < 0.05] = 0.0
     frame = FrameObservation(pose=pose, depth=depth,
                              gt_instance=np.zeros(depth.shape, np.int32))
     return vmap, frame, K
 
 
-def assert_matches_painter(vmap, frame, K, tolerance):
-    labels = project_instance_masks(vmap, frame, K,
-                                    occlusion_tolerance=tolerance)
-    tol = 2.0 * vmap.voxel_size if tolerance is None else tolerance
+def assert_matches_painter(vmap, frame, K):
+    labels = project_instance_masks(vmap, frame, K)
     winner = painter_reproject({uid: map(tuple, inst.voxels.tolist())
                                 for uid, inst in vmap.instances.items()},
-                               vmap.voxel_size, frame.depth, K, frame.pose, tol)
+                               vmap.voxel_size, frame.depth, K, frame.pose)
     expected = sorted(set(winner[winner >= 0].tolist()))
     assert [lab.uid for lab in labels] == expected
     for lab in labels:
@@ -239,37 +236,48 @@ class TestPainterOracle:
     @pytest.mark.parametrize("voxel_size", [0.05, 0.1])
     @pytest.mark.parametrize("seed", range(6))
     def test_random_maps_match_painter(self, seed, voxel_size, tolerance):
-        vmap, frame, K = random_scene_map(seed, voxel_size)
-        labels = assert_matches_painter(vmap, frame, K, tolerance)
+        vmap, frame, K = random_scene_map(seed, voxel_size, tolerance)
+        labels = assert_matches_painter(vmap, frame, K)
         assert len(vmap.instances) >= 2
         assert labels
 
     def test_random_maps_cover_the_cases(self):
-        # the seeds above reach every case the painter distinguishes
-        single = near = behind = clipped = 0
+        # the seeds above reach every case the painter distinguishes, at
+        # the unscaled depth errors: voxels failing the depth test, and
+        # pixels in the accepted footprints of two instances
+        single = near = behind = clipped = rejected = overlap = 0
         for seed in range(6):
             vmap, frame, K = random_scene_map(seed, 0.05)
+            alone = []
             for inst in vmap.instances.values():
                 keys = inst.voxels
-                _, _, d = world_to_pixel((keys + 0.5) * 0.05, K, frame.pose)
+                u, v, d = world_to_pixel((keys + 0.5) * 0.05, K, frame.pose)
                 single += len(keys) == 1
                 near += bool(((d > 0) & (d < 0.8)).any())
                 behind += bool((d <= 0).any())
+                u, v = np.round(u), np.round(v)
+                seen = (d > 0) & (u >= 0) & (u < K.width) & (v >= 0) & (v < K.height)
+                frame_d = frame.depth[v[seen].astype(int), u[seen].astype(int)]
+                rejected += int((np.abs(d[seen] - frame_d) > 0.1).sum())
+                one = map_from_voxels(dict.fromkeys(map(tuple, keys.tolist()),
+                                                    inst.class_id))
+                alone += [lab.mask for lab in project_instance_masks(one, frame, K)]
+            overlap += int((np.sum(alone, axis=0) >= 2).sum())
             labels = project_instance_masks(vmap, frame, K)
             clipped += sum(bool(lab.mask[:, [0, -1]].any()
                                 or lab.mask[[0, -1], :].any())
                            for lab in labels)
-        assert min(single, near, behind, clipped) > 0
+        assert min(single, near, behind, clipped, rejected, overlap) > 0
 
     def test_equal_depth_tie_goes_to_lower_uid(self, cam):
         # two classes side by side at the same planar depth: two instances
         # whose 5x5 footprints share two columns
         vmap = map_from_voxels({(20, 0, 25): 1, (20, 1, 25): 2})
-        pose = Pose(0, 0, 0, camera_height=1.25)
+        pose = Pose(0, 0, 0)
         depth = np.full((cam.height, cam.width), 1.025)
         frame = FrameObservation(pose=pose, depth=depth,
                                  gt_instance=np.zeros(depth.shape, np.int32))
-        labels = assert_matches_painter(vmap, frame, cam, None)
+        labels = assert_matches_painter(vmap, frame, cam)
         assert [lab.uid for lab in labels] == [0, 1]
         alone = []
         for key, class_id in (((20, 0, 25), 1), ((20, 1, 25), 2)):
@@ -289,7 +297,7 @@ class TestPainterOracle:
         before = len(vmap.instances)
         finalize_map(vmap, min_instance_voxels=second)
         assert len(vmap.instances) != before
-        assert assert_matches_painter(vmap, frame, K, None)
+        assert assert_matches_painter(vmap, frame, K)
 
 
 @pytest.fixture(scope="module")

@@ -5,24 +5,44 @@ import re
 import numpy as np
 import pytest
 
-from voxlabel.scene import (Box, CameraIntrinsics, FrameObservation,
-                            ObjectInstance, Pose, SceneInfeasibleError,
-                            SceneParams, SceneSpec, generate_scene,
-                            pixel_to_world, render_frame, visible_instances,
-                            world_to_pixel)
+from voxlabel.scene import (CAMERA_HEIGHT, MAX_RANGE, Box, CameraIntrinsics,
+                            FrameObservation, ObjectInstance, Pose,
+                            SceneInfeasibleError, SceneParams, SceneSpec,
+                            generate_scene, pixel_to_world, render_frame,
+                            visible_instances, world_to_pixel)
 
 from oracles import (general_basis_pixel_to_world, general_basis_world_to_pixel,
                      project_homogeneous, ray_march_depth, slab_render)
 
-EDGE_POSES = [   # (x, y, yaw, camera_height) in box_scene
+EDGE_POSES = [   # (x, y, yaw, height above the floor) in seen_from(box_scene)
     (2.0, 4.0, 0.0, 1.25),
     (2.0, 4.0, math.pi / 2, 1.25),
     (2.0, 4.0, -math.pi / 2, 1.25),
     (2.0, 4.0, -math.pi, 1.25),
     (2.0, 4.0, 0.0, 1.8),    # on object 0's top face: (zmax - h) * inf is NaN
-    (2.0, 4.0, 0.0, 0.0),    # on the floor plane
+    (2.0, 4.0, 0.0, 0.0),    # on the floor plane, every bottom face
     (2.0, 3.5, 0.0, 1.25),   # on object 0's ymin face, principal column along it
 ]
+
+
+def seen_from(scene, x, y, height, max_range=MAX_RANGE):
+    """scene moved and scaled about the point (x, y, height), so that a
+    camera at (x, y) sees it as a camera at that height above scene's floor
+    with a sensing range of max_range would see scene: the point goes to
+    (x, y, CAMERA_HEIGHT) and every length is scaled by MAX_RANGE /
+    max_range. A face through the point stays exactly through the camera."""
+    k = MAX_RANGE / max_range
+
+    def move(b):
+        return Box((b.xmin - x) * k + x, (b.ymin - y) * k + y,
+                   (b.zmin - height) * k + CAMERA_HEIGHT,
+                   (b.xmax - x) * k + x, (b.ymax - y) * k + y,
+                   (b.zmax - height) * k + CAMERA_HEIGHT)
+
+    return SceneSpec(bounds=move(scene.bounds),
+                     obstacles=tuple(map(move, scene.obstacles)),
+                     objects=tuple(ObjectInstance(o.gt_id, o.class_id, move(o.box))
+                                   for o in scene.objects))
 
 
 class TestGenerateScene:
@@ -71,7 +91,7 @@ class TestGenerateScene:
         assert SceneSpec.load(path).to_json() == scene.to_json()
         for value in (SceneParams(), SceneParams(room_size_min=6.0, n_partitions=0),
                       CameraIntrinsics.default(), CameraIntrinsics.default(16, 12),
-                      Pose(1.5, -2.0, 7.0), Pose(0.0, 0.25, -1.0, camera_height=0.8)):
+                      Pose(1.5, -2.0, 7.0), Pose(0.0, 0.25, -1.0)):
             back = type(value).from_json(json.loads(json.dumps(value.to_json())))
             assert back == value
             assert back.to_json() == value.to_json()
@@ -87,6 +107,11 @@ class TestGenerateScene:
          "objects[0].class_id out of range"),
         ({"objects": [{"gt_id": 0, "box": [1, 1, 0, 2, 2, 1]}]},
          "objects[0].class_id: missing required field"),
+        ({"objects": [{"gt_id": 0, "class_id": 0, "box": [1, 1, 0, math.inf, 2, 1]}]},
+         "objects[0].box.xmax must be finite, got inf"),
+        ({"bounds": [0, 0, -math.inf, 5, 5, 3]}, "bounds.zmin must be finite, got -inf"),
+        ({"obstacles": [[0, 0, 0, 1, 1, math.nan]]},
+         "obstacles[0].zmax must be finite, got nan"),
     ])
     def test_from_json_rejects_bad_field(self, change, field):
         data = {"bounds": [0, 0, 0, 5, 5, 3], "obstacles": [], "objects": [],
@@ -106,7 +131,7 @@ class TestRenderFrame:
         bounds = Box(0, -5, 0, 10, 5, 3)
         wall = Box(4.0, -5, 0, 4.2, 5, 3.0)
         scene = SceneSpec(bounds=bounds, obstacles=(wall,), objects=())
-        pose = Pose(x=1.0, y=0.0, yaw=0.0, camera_height=1.25)
+        pose = Pose(x=1.0, y=0.0, yaw=0.0)
         frame = render_frame(scene, pose, cam)
         hit = frame.depth > 0
         assert hit.any()
@@ -117,7 +142,7 @@ class TestRenderFrame:
         wall = Box(3.0, -5, 0, 3.2, 5, 3.0)
         obj = ObjectInstance(0, 2, Box(5.0, -1, 0, 6.0, 1, 3.0))
         scene = SceneSpec(bounds=bounds, obstacles=(wall,), objects=(obj,))
-        pose = Pose(x=1.0, y=0.0, yaw=0.0, camera_height=1.25)
+        pose = Pose(x=1.0, y=0.0, yaw=0.0)
         frame = render_frame(scene, pose, cam)
         assert not (frame.gt_instance == 0).any()
 
@@ -128,7 +153,7 @@ class TestRenderFrame:
         assert (frame.gt_instance == -1).all()
 
     def test_matches_ray_march_oracle(self, cam_small, box_scene):
-        pose = Pose(x=1.3, y=2.1, yaw=0.6, camera_height=1.25)
+        pose = Pose(x=1.3, y=2.1, yaw=0.6)
         frame = render_frame(box_scene, pose, cam_small)
         rng = np.random.default_rng(0)
         pixels = [(int(rng.integers(cam_small.width)),
@@ -142,15 +167,15 @@ class TestRenderFrame:
     @pytest.mark.parametrize("x, y, yaw, height", EDGE_POSES)
     def test_edge_poses_match_ray_march_oracle(self, cam_small, box_scene,
                                                x, y, yaw, height):
-        pose = Pose(x=x, y=y, yaw=yaw, camera_height=height)
-        frame = render_frame(box_scene, pose, cam_small)
+        scene, pose = seen_from(box_scene, x, y, height), Pose(x=x, y=y, yaw=yaw)
+        frame = render_frame(scene, pose, cam_small)
         cu, cv = int(cam_small.cx), int(cam_small.cy)
         assert (cu, cv) == (cam_small.cx, cam_small.cy)
         # principal row v = cy and principal column u = cx, plus one off-axis pixel
         pixels = [(cu, cv), (cu, 0), (cu, cam_small.height - 1),
                   (0, cv), (cam_small.width - 1, cv), (3, 9)]
         for u, v in pixels:
-            d_ref, gt_ref = ray_march_depth(box_scene, pose, cam_small, u, v)
+            d_ref, gt_ref = ray_march_depth(scene, pose, cam_small, u, v)
             assert abs(frame.depth[v, u] - d_ref) <= 2e-3
             if d_ref > 0 and abs(frame.depth[v, u] - d_ref) < 1e-3:
                 assert frame.gt_instance[v, u] == gt_ref
@@ -159,22 +184,23 @@ class TestRenderFrame:
         *((*pose, 10.0) for pose in EDGE_POSES),
         (-1.5, 4.0, 0.0, 1.25, 10.0),   # outside the room, facing its wall
         (3.5, 4.0, 0.3, 1.0, 10.0),     # inside object 0
-        (1.0, 4.0, 0.0, 2.5, 2.5),      # max_range cuts object 0's top face
+        (1.0, 4.0, 0.0, 2.5, 2.5),      # the range cuts object 0's top face
     ])
     def test_matches_scalar_slab_oracle_bytes(self, cam_small, box_scene,
                                               x, y, yaw, height, max_range):
-        pose = Pose(x=x, y=y, yaw=yaw, camera_height=height)
-        frame = render_frame(box_scene, pose, cam_small, max_range=max_range)
-        depth, gt = slab_render(box_scene, pose, cam_small, max_range=max_range)
+        scene = seen_from(box_scene, x, y, height, max_range)
+        pose = Pose(x=x, y=y, yaw=yaw)
+        frame = render_frame(scene, pose, cam_small)
+        depth, gt = slab_render(scene, pose, cam_small)
         assert frame.depth.tobytes() == depth.tobytes()
         assert frame.gt_instance.tobytes() == gt.tobytes()
-        assert (frame.depth > 0).any() and frame.depth.max() <= max_range
+        assert (frame.depth > 0).any() and frame.depth.max() <= MAX_RANGE
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_equal_depth_tie_keeps_lower_index(self, cam_small, box_scene, first):
         # both front faces lie in the plane x = 3, the small one inside the large
         large, small = Box(3.0, 3.0, 0.0, 4.0, 5.0, 1.5), Box(3.0, 3.5, 0.0, 3.5, 4.5, 1.0)
-        pose = Pose(x=1.0, y=4.0, yaw=0.0, camera_height=1.25)
+        pose = Pose(x=1.0, y=4.0, yaw=0.0)
 
         def scene_of(*boxes):
             return SceneSpec(bounds=box_scene.bounds, obstacles=box_scene.obstacles,
@@ -191,7 +217,7 @@ class TestRenderFrame:
         assert (frame.gt_instance[shared] == 0).all()
 
     def test_depth_monotone_under_obstacle_removal(self, cam_small, box_scene):
-        pose = Pose(x=1.0, y=4.0, yaw=0.1, camera_height=1.25)
+        pose = Pose(x=1.0, y=4.0, yaw=0.1)
         full = render_frame(box_scene, pose, cam_small)
         fewer = SceneSpec(bounds=box_scene.bounds,
                           obstacles=box_scene.obstacles[:2],
@@ -202,7 +228,7 @@ class TestRenderFrame:
         assert (d_less >= d_full - 1e-12).all()
 
     def test_gt_ids_present_in_scene(self, cam, box_scene):
-        pose = Pose(x=1.0, y=4.0, yaw=0.0, camera_height=1.25)
+        pose = Pose(x=1.0, y=4.0, yaw=0.0)
         frame = render_frame(box_scene, pose, cam)
         ids = set(np.unique(frame.gt_instance)) - {-1}
         assert ids <= {o.gt_id for o in box_scene.objects}
@@ -249,7 +275,7 @@ class TestYawOnlyTransforms:
     @pytest.mark.parametrize("yaw", TRANSFORM_YAWS)
     def test_world_to_pixel_matches_general_basis(self, cam, yaw):
         rng = np.random.default_rng(int(yaw * 1000) % 997)
-        pose = Pose(x=1.5, y=-0.5, yaw=yaw, camera_height=1.25)
+        pose = Pose(x=1.5, y=-0.5, yaw=yaw)
         c, s = math.cos(pose.yaw), math.sin(pose.yaw)
         n = 300
         depth = np.concatenate([rng.uniform(0.05, 9.0, n),     # in front
@@ -258,7 +284,7 @@ class TestYawOnlyTransforms:
         pts = np.stack([pose.x + depth * c + lateral * s,
                         pose.y + depth * s - lateral * c,
                         rng.uniform(0.0, 2.5, 2 * n)], axis=1)
-        pts[::7, 2] = pose.camera_height        # zero vertical offset
+        pts[::7, 2] = CAMERA_HEIGHT             # zero vertical offset
         # on the camera plane: the camera's vertical axis at every yaw, and
         # the whole plane x = pose.x at yaw 0
         on = [(pose.x, pose.y, z) for z in (0.0, 0.5, 1.25, 2.0)]
@@ -277,7 +303,7 @@ class TestYawOnlyTransforms:
     @pytest.mark.parametrize("yaw", TRANSFORM_YAWS)
     def test_pixel_to_world_matches_general_basis(self, cam, yaw):
         rng = np.random.default_rng(int(yaw * 1000) % 991)
-        pose = Pose(x=-0.75, y=2.0, yaw=yaw, camera_height=1.25)
+        pose = Pose(x=-0.75, y=2.0, yaw=yaw)
         u = rng.uniform(-2.0, cam.width + 2.0, 400)
         v = rng.uniform(-2.0, cam.height + 2.0, 400)
         u[:50], v[50:100] = cam.cx, cam.cy    # zero X or zero Y
@@ -293,23 +319,23 @@ class TestYawOnlyTransforms:
 
 class TestCameraModel:
     def test_principal_ray(self, cam):
-        pose = Pose(x=0.0, y=0.0, yaw=0.0, camera_height=1.25)
+        pose = Pose(x=0.0, y=0.0, yaw=0.0)
         p = pixel_to_world(cam.cx, cam.cy, 2.0, cam, pose)
         assert np.allclose(p, [2.0, 0.0, 1.25])
 
     def test_quarter_turn(self, cam):
-        pose = Pose(x=0.0, y=0.0, yaw=math.pi / 2, camera_height=1.25)
+        pose = Pose(x=0.0, y=0.0, yaw=math.pi / 2)
         p = pixel_to_world(cam.cx, cam.cy, 2.0, cam, pose)
         assert np.allclose(p, [0.0, 2.0, 1.25])
 
     def test_inverse_principal_ray(self, cam):
-        pose = Pose(x=0.0, y=0.0, yaw=0.0, camera_height=1.25)
+        pose = Pose(x=0.0, y=0.0, yaw=0.0)
         u, v, d = world_to_pixel(np.array([2.0, 0.0, 1.25]), cam, pose)
         assert abs(u - cam.cx) < 1e-9 and abs(v - cam.cy) < 1e-9
         assert abs(d - 2.0) < 1e-12
 
     def test_behind_camera(self, cam):
-        pose = Pose(x=0.0, y=0.0, yaw=0.0, camera_height=1.25)
+        pose = Pose(x=0.0, y=0.0, yaw=0.0)
         _, _, d = world_to_pixel(np.array([-1.0, 0.0, 1.25]), cam, pose)
         assert d <= 0
 
@@ -321,7 +347,7 @@ class TestCameraModel:
         rng = np.random.default_rng(42)
         for yaw in np.linspace(-math.pi, math.pi, 16, endpoint=False):
             pose = Pose(x=float(rng.uniform(-2, 2)), y=float(rng.uniform(-2, 2)),
-                        yaw=float(yaw), camera_height=1.25)
+                        yaw=float(yaw))
             n = 1000 // 16 + 1
             u = rng.uniform(0, cam.width, n)
             v = rng.uniform(0, cam.height, n)
@@ -335,8 +361,7 @@ class TestCameraModel:
         rng = np.random.default_rng(3)
         for _ in range(20):
             pose = Pose(x=float(rng.uniform(-3, 3)), y=float(rng.uniform(-3, 3)),
-                        yaw=float(rng.uniform(-math.pi, math.pi)),
-                        camera_height=1.25)
+                        yaw=float(rng.uniform(-math.pi, math.pi)))
             pts = rng.uniform(-5, 5, (40, 3))
             whole = np.stack(world_to_pixel(pts, cam, pose), axis=1)
             for i in range(len(pts)):
@@ -345,7 +370,7 @@ class TestCameraModel:
 
     def test_matches_homogeneous_matrix_oracle(self, cam):
         rng = np.random.default_rng(1)
-        pose = Pose(x=0.7, y=-0.4, yaw=1.1, camera_height=1.25)
+        pose = Pose(x=0.7, y=-0.4, yaw=1.1)
         for _ in range(1000):
             p = rng.uniform(-5, 5, 3)
             ref = project_homogeneous(p, cam, pose)
