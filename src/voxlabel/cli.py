@@ -105,6 +105,8 @@ def main(argv=None) -> int:
     out = getattr(args, "out", None) or _default_out()
 
     if args.group == "scene":
+        if args.seed < 0:
+            parser.error(f"--seed must be non-negative, got {args.seed}")
         scene = generate_scene(SceneParams(), args.seed)
         scene.save(args.out)
         print(f"wrote {args.out}: {len(scene.objects)} objects")

@@ -110,23 +110,20 @@ class Detection:
 class DetectionSet:
     """Detections for one frame; a trajectory's list index is its frame.
 
-    secret_gt_ids is a diagnostics-only channel (one entry per detection);
-    consensus, reprojection, and the losses never read it. from_json takes
-    the (H, W) shape of the masks, which the JSON does not hold.
+    A detection carries no ground truth: evaluate.match_gt attributes it from
+    the rendered frame. from_json takes the (H, W) shape of the masks, which
+    the JSON does not hold, and reads only "detections".
     """
 
     detections: list[Detection]
-    secret_gt_ids: list[int]
 
     def to_json(self) -> dict:
-        return {"detections": [d.to_json() for d in self.detections],
-                "secret_gt_ids": [int(i) for i in self.secret_gt_ids]}
+        return {"detections": [d.to_json() for d in self.detections]}
 
     @classmethod
     def from_json(cls, d: dict, shape: tuple) -> "DetectionSet":
         return cls(detections=[Detection.from_json(x, shape)
-                               for x in d["detections"]],
-                   secret_gt_ids=[int(i) for i in d["secret_gt_ids"]])
+                               for x in d["detections"]])
 
 
 def mask_bbox(mask: np.ndarray) -> tuple:
@@ -155,12 +152,11 @@ def simulate_detections(frame: FrameObservation, scene: SceneSpec,
 
     Per visible instance (>= min_pixels pixels): distance-dependent dropout,
     class sampled from the confusion row, logits = sharpness * one-hot +
-    Gaussian noise, mask jittered, then filtered by score threshold.
-    Deterministic given (frame, noise, rng state).
+    Gaussian noise, mask jittered, then filtered by score threshold. The
+    output keeps no gt id. Deterministic given (frame, noise, rng state).
     """
     confusion = np.asarray(noise.confusion, dtype=float)
     detections: list[Detection] = []
-    secret: list[int] = []
 
     for gt_id, inst_mask in visible_instances(frame, noise.min_pixels):
         distance = float(frame.depth[inst_mask].mean())
@@ -179,6 +175,5 @@ def simulate_detections(frame: FrameObservation, scene: SceneSpec,
         if det.score < noise.score_threshold:
             continue
         detections.append(det)
-        secret.append(gt_id)
 
-    return DetectionSet(detections=detections, secret_gt_ids=secret)
+    return DetectionSet(detections=detections)

@@ -1,4 +1,5 @@
-"""Pseudo-label quality metrics: per-class AP at IoU 0.5 and consensus stats.
+"""Pseudo-label quality metrics: per-class AP at IoU 0.5 and raw class
+disagreement, with detections attributed to gt objects by mask overlap.
 
 Ground truth per frame comes from the rendered instance-id images: the
 minimal box of each instance's visible pixels, skipping instances below the
@@ -8,7 +9,7 @@ with greedy matching and all-points precision-envelope interpolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +82,6 @@ class EvalReport:
     per_class_ap: list              # 6 entries, None when class absent from gt
     map50: float
     counts: dict                    # class -> {"gt": n, "pred": n}
-    consistency_stats: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -89,7 +89,6 @@ class EvalReport:
                              for a in self.per_class_ap],
             "map50": float(self.map50),
             "counts": {str(k): v for k, v in self.counts.items()},
-            "consistency_stats": self.consistency_stats,
         }
 
 
@@ -127,12 +126,8 @@ def evaluate_pseudo_labels(dataset_or_dets, trajectory, scene: SceneSpec,
                            K, min_pixels: int = 50) -> EvalReport:
     """mAP@50 of pseudo-labels (or raw detections) against rendered gt.
 
-    Raises on frame-count mismatch. consistency_stats reports the fraction of
-    detected gt instances whose raw detections disagreed on class (using the
-    diagnostics-only gt-id channel) and the same figure after consensus.
+    Raises on frame-count mismatch.
     """
-    from .reproject import PseudoDataset
-
     if len(dataset_or_dets) != len(trajectory.frames):
         raise ValueError("dataset/trajectory mismatch")
 
@@ -155,34 +150,29 @@ def evaluate_pseudo_labels(dataset_or_dets, trajectory, scene: SceneSpec,
     present = [a for a in per_class_ap if a is not None]
     map50 = float(np.mean(present)) if present else 0.0
 
-    stats = raw_consistency_stats(trajectory)
-    if isinstance(dataset_or_dets, PseudoDataset):
-        stats["disagreement_after_consensus"] = pseudo_disagreement(dataset_or_dets)
-    return EvalReport(per_class_ap=per_class_ap, map50=map50, counts=counts,
-                      consistency_stats=stats)
+    return EvalReport(per_class_ap=per_class_ap, map50=map50, counts=counts)
+
+
+def match_gt(mask: np.ndarray, frame) -> int | None:
+    """The gt id a detection mask attributes to: the id covering most of the
+    mask's pixels in frame.gt_instance, ties to the lower id; None when the
+    mask covers no object pixel."""
+    counts = np.bincount(frame.gt_instance[mask] + 1)[1:]   # NO_INSTANCE is -1
+    return int(np.argmax(counts)) if counts.any() else None
 
 
 def raw_consistency_stats(trajectory) -> dict:
-    """Fraction of detected gt instances with non-unanimous raw classes."""
+    """Fraction of detected gt instances with non-unanimous raw classes; each
+    detection counts for its match_gt object in its own frame, if any."""
     classes_by_gt: dict = {}
-    for det_set in trajectory.detections:
-        for det, gt_id in zip(det_set.detections, det_set.secret_gt_ids):
-            classes_by_gt.setdefault(gt_id, set()).add(det.class_id)
+    for frame, det_set in zip(trajectory.frames, trajectory.detections):
+        for det in det_set.detections:
+            gt_id = match_gt(det.mask, frame)
+            if gt_id is not None:
+                classes_by_gt.setdefault(gt_id, set()).add(det.class_id)
     n = len(classes_by_gt)
     disagree = sum(1 for s in classes_by_gt.values() if len(s) > 1)
     return {
         "instances_detected": n,
         "raw_disagreement_fraction": (disagree / n) if n else 0.0,
     }
-
-
-def pseudo_disagreement(dataset) -> float:
-    """Fraction of pseudo-label instance ids with more than one class (0 by
-    construction of the consensus map; reported as a check)."""
-    classes_by_uid: dict = {}
-    for _, lab in dataset.all_labels():
-        classes_by_uid.setdefault(lab.uid, set()).add(lab.class_id)
-    n = len(classes_by_uid)
-    if n == 0:
-        return 0.0
-    return sum(1 for s in classes_by_uid.values() if len(s) > 1) / n

@@ -7,8 +7,8 @@ cells of one (policy, seed) share. Each run writes its artifacts to its own
 directory with a MANIFEST of content hashes; every file is written to a
 temporary name and renamed into place, and the MANIFEST reads "running"
 until the run ends. trajectory.jsonl keeps only what cannot be recomputed:
-per frame the pose, each detection's mask RLE and logits, and the diagnostic
-gt ids; load_run re-renders the frames, and a frame's index is its line.
+per frame the pose and each detection's mask RLE and logits; load_run
+re-renders the frames, and a frame's index is its line.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .consensus import (DEFAULT_MIN_INSTANCE_VOXELS, DEFAULT_VOXEL_SIZE,
                         SemanticVoxelMap, accumulate_frame, finalize_map)
 from .detector import DetectionSet, NoiseModel
-from .evaluate import evaluate_pseudo_labels
+from .evaluate import evaluate_pseudo_labels, raw_consistency_stats
 from .explore import Trajectory, run_episode
 from .losses import TrainConfig, toy_finetune
 from .reproject import build_pseudo_dataset, dataset_to_coco
@@ -63,6 +63,8 @@ class RunConfig(JsonDataclass):
         self._require("positive", "voxel_size")
         self._require("at least 1", "steps", "min_instance_voxels")
         self._require("non-negative", "alpha")
+        if self.scene_seed is not None:
+            self._require("non-negative", "scene_seed")
         if self.policy not in ("frontier", "random"):
             raise ValueError("policy must be 'frontier' or 'random', "
                              f"got {self.policy!r}")
@@ -263,7 +265,8 @@ def _upstream(config: RunConfig):
             min_pixels=config.noise.min_pixels)
             for labels in (dataset, trajectory.detections))
         eval_blob = {"pseudo": pseudo.to_json(), "raw": raw.to_json(),
-                     "improvement": pseudo.map50 - raw.map50}
+                     "improvement": pseudo.map50 - raw.map50,
+                     "raw_consistency": raw_consistency_stats(trajectory)}
         files.append((stage, "eval.json",
                       canonical_dumps(_round_floats(eval_blob, 9)) + "\n"))
     except Exception as exc:
@@ -307,6 +310,8 @@ def run_grid(base: RunConfig, policies, alphas, seeds, out_root,
         if not values or len(set(values)) != len(values):
             raise ValueError(f"{axis} must be non-empty and without "
                              f"duplicates, got {list(values)}")
+    if max_workers < 1:
+        raise ValueError(f"workers must be at least 1, got {max_workers}")
     out_root = Path(out_root)
     groups = [[(replace(base, policy=p, alpha=a, seed=s),
                 out_root / f"{p}_alpha{a}_seed{s}") for a in alphas]

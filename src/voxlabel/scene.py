@@ -314,7 +314,9 @@ def render_frame(scene: SceneSpec, pose: Pose, K: CameraIntrinsics) -> FrameObse
         tnear = np.fmax(near_xy[m, span[1]], near_z[m, span[0], None])
         tfar = np.fmin(far_xy[m, span[1]], far_z[m, span[0], None])
         nearest = depth[span]
-        hit = (tfar >= tnear) & (tnear > eps) & (tnear <= MAX_RANGE) & (tnear < nearest)
+        # tnear <= MAX_RANGE in the span: a box cut by a half-space is convex,
+        # so kept rows and columns are intervals; a NaN tnear fails tnear > eps
+        hit = (tfar >= tnear) & (tnear > eps) & (tnear < nearest)
         nearest[hit] = tnear[hit]
         if m >= n_obstacles:   # every obstacle precedes every object
             gt[span][hit] = m - n_obstacles

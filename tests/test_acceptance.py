@@ -266,7 +266,7 @@ class TestAcceptance:
         from voxlabel.detector import simulate_detections
         det0 = simulate_detections(frames[0], scene, NoiseModel.noiseless(),
                                    np.random.default_rng(0))
-        det1 = DetectionSet([], [])             # forced frame-2 dropout
+        det1 = DetectionSet([])                 # forced frame-2 dropout
         traj = Trajectory(frames=frames, detections=[det0, det1])
         vmap = SemanticVoxelMap()
         for frame, dets in zip(traj.frames, traj.detections):

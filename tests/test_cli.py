@@ -94,6 +94,10 @@ class TestMain:
         (["grid", "run", "--scene", "{scene}"], "sede"),
         (["pipeline", "run", "--config", "{train}"], "train_config.alpha"),
         (["grid", "run", "--config", "{train}"], "train_config.alpha"),
+        (["pipeline", "run", "--scene-seed", "-1", "--steps", "5"], "scene_seed"),
+        (["scene", "gen", "--seed", "-1"], "--seed"),
+        (["grid", "run", "--workers", "0"], "workers"),
+        (["grid", "run", "--workers", "-1"], "workers"),
     ])
     def test_bad_value_is_usage_error(self, tmp_path, capsys, argv, named):
         config = tmp_path / "config.json"

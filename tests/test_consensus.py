@@ -95,7 +95,7 @@ class TestAccumulate:
         det = Detection(mask=mask, logits=logits_for(2))
         vmap = SemanticVoxelMap()
         accumulate_frame(vmap, frame,
-                         DetectionSet([det], [0]), cam)
+                         DetectionSet([det]), cam)
         # principal ray at depth 2 hits world (2, 0, 1.25)
         want = tuple(np.floor(np.array([2.0, 0.0, 1.25])
                               / DEFAULT_VOXEL_SIZE).astype(int))
@@ -113,7 +113,7 @@ class TestAccumulate:
                                                      dtype=np.int32))
         det = full_mask_detection(depth.shape, class_id=3)
         vmap = SemanticVoxelMap()
-        accumulate_frame(vmap, frame, DetectionSet([det], [0]), cam_small)
+        accumulate_frame(vmap, frame, DetectionSet([det]), cam_small)
 
         # oracle: lift every valid pixel one by one
         want: dict = {}
@@ -136,7 +136,7 @@ class TestAccumulate:
                                                      dtype=np.int32))
         det = full_mask_detection(depth.shape)
         vmap = SemanticVoxelMap()
-        accumulate_frame(vmap, frame, DetectionSet([det], [0]), cam)
+        accumulate_frame(vmap, frame, DetectionSet([det]), cam)
         assert vmap.observations == []
         resolve_voxels(vmap)
         assert len(vmap.voxels) == 0
@@ -150,8 +150,7 @@ class TestAccumulate:
                                                      dtype=np.int32))
         with pytest.raises(ValueError):
             accumulate_frame(vmap, frame,
-                             DetectionSet([full_mask_detection(depth.shape)],
-                                          [0]), cam)
+                             DetectionSet([full_mask_detection(depth.shape)]), cam)
 
     @pytest.mark.parametrize("voxel_size", [0.0, -0.05])
     def test_rejects_non_positive_voxel_size(self, voxel_size):
@@ -401,7 +400,7 @@ class TestPipelineLevel:
             mask[3:9, 4:12] = True
             noise = rng.normal(0, 0.1, 6)
             det = Detection(mask=mask, logits=logits_for(2) + noise)
-            frames.append((frame, DetectionSet([det], [0])))
+            frames.append((frame, DetectionSet([det])))
         return frames
 
     def test_finalize_end_to_end(self, cam_small):

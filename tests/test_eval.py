@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from voxlabel.consensus import SemanticVoxelMap, accumulate_frame, finalize_map
 from voxlabel.detector import Detection, DetectionSet, NoiseModel
 from voxlabel.evaluate import (average_precision, evaluate_pseudo_labels,
-                               frame_gt_boxes, iou, pseudo_disagreement,
+                               frame_gt_boxes, iou, match_gt,
                                raw_consistency_stats)
 from voxlabel.explore import Trajectory, run_episode
 from voxlabel.reproject import build_pseudo_dataset
-from voxlabel.scene import CameraIntrinsics, SceneParams, generate_scene
+from voxlabel.scene import (CameraIntrinsics, FrameObservation, Pose,
+                            SceneParams, generate_scene)
 
 from oracles import ap_brute_force, iou_ref
 
@@ -150,8 +151,9 @@ class TestEvaluatePseudoLabels:
         # pinned from the first run: 0.855 (reprojection splatting keeps this
         # below a perfect 1.0 even without detector noise)
         assert report.map50 >= 0.80
-        assert report.consistency_stats["raw_disagreement_fraction"] == 0.0
-        assert report.consistency_stats["disagreement_after_consensus"] == 0.0
+        stats = raw_consistency_stats(traj)
+        assert stats["instances_detected"] > 0
+        assert stats["raw_disagreement_fraction"] == 0.0
 
     def test_raw_detections_also_evaluable(self, noiseless_run):
         scene, traj, _, cam = noiseless_run
@@ -186,16 +188,30 @@ class TestEvaluatePseudoLabels:
         assert len(strict) <= len(loose)
         assert strict == []
 
-    def test_disagreement_on_empty_dataset(self):
-        from voxlabel.reproject import PseudoDataset
-        assert pseudo_disagreement(PseudoDataset(frames=[[]])) == 0.0
+
+def frame_of(gt_row):
+    """A one-row frame whose pixels carry the gt ids gt_row (-1: none)."""
+    gt = np.array([gt_row], dtype=np.int32)
+    return FrameObservation(pose=Pose(0, 0, 0), depth=np.ones(gt.shape),
+                            gt_instance=gt)
+
+
+@pytest.mark.parametrize("gt_row, mask_row, want", [
+    ([4, 4, 2, -1], [1, 1, 1, 1], 4),     # majority of the object pixels
+    ([5, 2, -1, -1], [1, 1, 1, 1], 2),    # tie: the lower id
+    ([3, -1, 3, 1], [0, 1, 0, 0], None),  # no object pixel under the mask
+    ([3, 1], [0, 0], None),               # empty mask
+], ids=["majority", "tie", "background", "empty"])
+def test_match_gt(gt_row, mask_row, want):
+    assert match_gt(np.array([mask_row], dtype=bool), frame_of(gt_row)) == want
 
 
 def detections_of(pairs):
-    """DetectionSet of one-pixel detections, one per (class_id, gt_id)."""
-    return DetectionSet([Detection(np.ones((1, 1), dtype=bool), np.eye(6)[class_id])
-                         for class_id, _ in pairs],
-                        [gt_id for _, gt_id in pairs])
+    """DetectionSet of one-pixel detections, one per (class_id, gt_id): the
+    i-th covers pixel i of frame_of([gt_id, ...])."""
+    return DetectionSet([Detection(np.eye(1, len(pairs), i, dtype=bool),
+                                   np.eye(6)[class_id])
+                         for i, (class_id, _) in enumerate(pairs)])
 
 
 @pytest.mark.parametrize("frames, want", [
@@ -203,9 +219,12 @@ def detections_of(pairs):
     ([[(1, 3), (0, 5)], [(2, 3), (0, 5)]], (2, 0.5)),
     ([[(1, 3)], [(1, 3)], []], (1, 0.0)),
     ([[], []], (0, 0.0)),
-], ids=["split", "unanimous", "none"])
+    # the class-2 detection covers no object pixel, so it is not counted
+    ([[(1, 3), (2, -1)]], (1, 0.0)),
+], ids=["split", "unanimous", "none", "background"])
 def test_raw_consistency_stats(frames, want):
-    traj = Trajectory(frames=[None] * len(frames),
+    traj = Trajectory(frames=[frame_of([gt_id for _, gt_id in pairs])
+                              for pairs in frames],
                       detections=[detections_of(pairs) for pairs in frames])
     got = raw_consistency_stats(traj)
     assert (got["instances_detected"], got["raw_disagreement_fraction"]) == want

@@ -411,10 +411,10 @@ REFERENCE_NOISE = NoiseModel.uniform_confusion(
 # default scene of each seed. A goal-search or occupancy change that moves
 # any pose or detection changes these.
 TRAJECTORY_SHA256 = {
-    ("frontier", 0): "d82676c8e855d0d447c36a90f3c2be17bc242c951b5c4c28d45f8626f24227f1",
-    ("frontier", 4): "d7e30291af7be82caeef9646654530e19a43c23ca690036690c43e3ecf86d2c0",
-    ("random", 0): "ea2f668717f9448177c1e1b468a99072ce306f951e295f2709a144195f411a3f",
-    ("random", 4): "27e7d41474c919fc49b16bfc8ed1073155ce2f8c447ce069eb10f0f16ee46f84",
+    ("frontier", 0): "84affc8536a3360a78e9e52e3b97d1bdd02bd5301e30d37f8815c1d663a83630",
+    ("frontier", 4): "5a38a723d55c6ddd8a4386586c81e02923df466d87d76974c7c8a02bff44c2ec",
+    ("random", 0): "67aa187f18abb7cd5278b43be47d03ce1352f51b096ccb7d7f402f88580f15cc",
+    ("random", 4): "2b9a771d4f968a9297d2d93d03523310fa125c318130c52c3c059812f80c07ea",
 }
 
 

@@ -11,7 +11,7 @@ import pytest
 import voxlabel
 from voxlabel import losses, pipeline
 from voxlabel.detector import NoiseModel
-from voxlabel.evaluate import evaluate_pseudo_labels
+from voxlabel.evaluate import evaluate_pseudo_labels, raw_consistency_stats
 from voxlabel.losses import TrainConfig
 from voxlabel.pipeline import (RunConfig, StageError, build_labels,
                                config_hash, load_run, run_grid, run_pipeline)
@@ -98,6 +98,17 @@ class TestRunPipeline:
         assert report["n_train"] == 43
         assert sha256_file(tmp_path / "train_report.json") == (
             "5e7c03f093a5633bf1b0af0a2785beed1665b810bf4355f1f92df914fb0b371c")
+
+    def test_eval_bytes_pinned(self, tmp_path):
+        # sha256 of eval.json at reference noise: pins both AP evaluations
+        # and the raw class disagreement of detections attributed by overlap
+        config = RunConfig(steps=60, seed=0, noise=NoiseModel.uniform_confusion(
+            0.75, dropout_base=0.1, dropout_per_meter=0.05))
+        run_pipeline(config, tmp_path)
+        report = json.loads((tmp_path / "eval.json").read_text())
+        assert report["raw_consistency"]["raw_disagreement_fraction"] > 0
+        assert sha256_file(tmp_path / "eval.json") == (
+            "badfa14bff3d6e4ae53fde63ee6aefe4d923b79e5767c41acab8a02e088e57fb")
 
     def test_stage_error_marks_manifest(self, tmp_path):
         config = small_config(scene_file=str(tmp_path / "missing.json"))
@@ -202,7 +213,7 @@ class TestLoadRun:
         for line in (tmp_path / "trajectory.jsonl").read_text().splitlines():
             record = json.loads(line)
             assert set(record) == {"pose", "detections"}
-            assert set(record["detections"]) == {"detections", "secret_gt_ids"}
+            assert set(record["detections"]) == {"detections"}
             for det in record["detections"]["detections"]:
                 assert set(det) == {"logits", "mask_rle"}
                 n_detections += 1
@@ -221,7 +232,6 @@ class TestLoadRun:
         assert [d.to_json() for d in trajectory.detections] \
             == [d.to_json() for d in episode.detections]
         for got, want in zip(trajectory.detections, episode.detections):
-            assert got.secret_gt_ids == want.secret_gt_ids
             assert [(d.bbox, d.class_id, d.score) for d in got.detections] \
                 == [(d.bbox, d.class_id, d.score) for d in want.detections]
         raw = evaluate_pseudo_labels(trajectory.detections, trajectory, scene,
@@ -229,6 +239,8 @@ class TestLoadRun:
                                      min_pixels=loaded.noise.min_pixels)
         eval_json = json.loads((tmp_path / "eval.json").read_text())
         assert round(raw.map50, 9) == eval_json["raw"]["map50"]
+        assert pipeline._round_floats(raw_consistency_stats(trajectory), 9) \
+            == eval_json["raw_consistency"]
 
         dataset = build_pseudo_dataset(
             trajectory, build_labels(trajectory, loaded), loaded.camera)
@@ -410,7 +422,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("name, value", [
         ("policy", "greedy"), ("steps", 0), ("steps", -1),
-        ("min_instance_voxels", 0)])
+        ("min_instance_voxels", 0), ("scene_seed", -1)])
     def test_rejects_out_of_range_run_settings(self, name, value):
         with pytest.raises(ValueError, match=name):
             small_config(**{name: value})
@@ -641,6 +653,8 @@ class TestRunGrid:
         ("alphas", dict(alphas=[0, 0.0])),
         ("seeds", dict(seeds=[])),
         ("seeds", dict(seeds=[1, 1])),
+        ("workers", dict(max_workers=0)),
+        ("workers", dict(max_workers=-1)),
     ])
     def test_rejects_empty_or_duplicated_axis(self, tmp_path, axis, values):
         axes = {**dict(policies=["frontier"], alphas=[0.7], seeds=[0]), **values}
@@ -655,7 +669,7 @@ def _array_holders():
     mask = np.eye(4, dtype=bool)
     logits = np.arange(6.0)
     det = voxlabel.Detection(mask.copy(), logits.copy())
-    dets = voxlabel.DetectionSet([det], [3])
+    dets = voxlabel.DetectionSet([det])
     label = voxlabel.PseudoLabel(uid=0, class_id=5, lambda_bar=logits / 15,
                                  mask=mask.copy(), bbox=(0, 0, 3, 3))
     frame = voxlabel.FrameObservation(voxlabel.Pose(1.0, 2.0, 0.0),

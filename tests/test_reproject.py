@@ -358,7 +358,7 @@ class TestEndToEnd:
         vmap = SemanticVoxelMap()
         for i, (frame, dets) in enumerate(zip(traj.frames, traj.detections)):
             if i % 2 == 1:
-                dets = DetectionSet([], [])
+                dets = DetectionSet([])
             accumulate_frame(vmap, frame, dets, cam)
         finalize_map(vmap)
         dataset = build_pseudo_dataset(traj, vmap, cam)
