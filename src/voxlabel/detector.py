@@ -15,15 +15,26 @@ import numpy as np
 from .scene import NUM_CLASSES, FrameObservation, SceneSpec, visible_instances
 from .serialize import JsonDataclass, rle_decode_bool, rle_encode_bool
 
+# The reported class's logit before noise, and the least score a detection keeps.
+LOGIT_SHARPNESS = 10.0
+SCORE_THRESHOLD = 0.7
 
-def softmax(logits) -> np.ndarray:
-    """Numerically stable softmax; accepts (..., C)."""
+
+def log_softmax_and_softmax(logits):
+    """(log-softmax, softmax) of (..., C) logits from one numerically stable
+    pass: max, shift, exp, sum, divide. ValueError if a logit is not finite."""
     x = np.asarray(logits, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("invalid logits")
     shifted = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    total = np.sum(e, axis=-1, keepdims=True)
+    return shifted - np.log(total), e / total
+
+
+def softmax(logits) -> np.ndarray:
+    """Numerically stable softmax; accepts (..., C)."""
+    return log_softmax_and_softmax(logits)[1]
 
 
 @dataclass(frozen=True)
@@ -32,8 +43,9 @@ class NoiseModel(JsonDataclass):
 
     confusion[i][j] is the probability the true class i is reported as j,
     stored as a tuple of float tuples (hashable) whatever it is given as.
-    Dropout probability grows linearly with distance to the instance.
-    Default values are illustrative, not calibrated against any real detector.
+    Dropout probability grows linearly with distance to the instance; logit
+    sharpness and score threshold are module constants. Default values are
+    illustrative, not calibrated against any real detector.
     """
 
     confusion: tuple[tuple[float, ...], ...] = field(default_factory=lambda: tuple(
@@ -41,10 +53,8 @@ class NoiseModel(JsonDataclass):
         for i in range(NUM_CLASSES)))
     dropout_base: float = 0.0
     dropout_per_meter: float = 0.0
-    logit_sharpness: float = 10.0
     logit_noise_sigma: float = 1.0
     mask_jitter_px: int = 0
-    score_threshold: float = 0.7
     min_pixels: int = 50
 
     def __post_init__(self):
@@ -55,15 +65,14 @@ class NoiseModel(JsonDataclass):
         m = np.asarray(self.confusion)
         if not (np.all(m >= 0) and np.all(np.abs(m.sum(axis=1) - 1.0) <= 1e-9)):
             raise ValueError("confusion rows must be stochastic")
-        self._require("in [0, 1]", "dropout_base", "score_threshold")
-        self._require("non-negative", "dropout_per_meter", "logit_sharpness",
-                      "logit_noise_sigma", "mask_jitter_px")
+        self._require("in [0, 1]", "dropout_base")
+        self._require("non-negative", "dropout_per_meter", "logit_noise_sigma",
+                      "mask_jitter_px")
         self._require("at least 1", "min_pixels")
 
     @classmethod
     def noiseless(cls, min_pixels: int = 50) -> "NoiseModel":
-        return cls(logit_sharpness=10.0, logit_noise_sigma=0.0,
-                   score_threshold=0.7, min_pixels=min_pixels)
+        return cls(logit_noise_sigma=0.0, min_pixels=min_pixels)
 
     @classmethod
     def uniform_confusion(cls, diagonal: float, **kwargs) -> "NoiseModel":
@@ -151,8 +160,8 @@ def simulate_detections(frame: FrameObservation, scene: SceneSpec,
     """Simulate detector output for one frame.
 
     Per visible instance (>= min_pixels pixels): distance-dependent dropout,
-    class sampled from the confusion row, logits = sharpness * one-hot +
-    Gaussian noise, mask jittered, then filtered by score threshold. The
+    class sampled from the confusion row, logits = LOGIT_SHARPNESS * one-hot
+    + Gaussian noise, mask jittered, then filtered by SCORE_THRESHOLD. The
     output keeps no gt id. Deterministic given (frame, noise, rng state).
     """
     confusion = np.asarray(noise.confusion, dtype=float)
@@ -165,14 +174,14 @@ def simulate_detections(frame: FrameObservation, scene: SceneSpec,
             continue
         true_class = scene.object_by_id(gt_id).class_id
         reported = int(rng.choice(NUM_CLASSES, p=confusion[true_class]))
-        logits = noise.logit_sharpness * np.eye(NUM_CLASSES)[reported]
+        logits = LOGIT_SHARPNESS * np.eye(NUM_CLASSES)[reported]
         if noise.logit_noise_sigma > 0:
             logits = logits + rng.normal(0.0, noise.logit_noise_sigma, NUM_CLASSES)
         mask = _jitter_mask(inst_mask, noise.mask_jitter_px, rng)
         if not mask.any():
             continue
         det = Detection(mask=mask, logits=logits)
-        if det.score < noise.score_threshold:
+        if det.score < SCORE_THRESHOLD:
             continue
         detections.append(det)
 

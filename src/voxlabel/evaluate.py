@@ -126,7 +126,8 @@ def evaluate_pseudo_labels(dataset_or_dets, trajectory, scene: SceneSpec,
                            K, min_pixels: int = 50) -> EvalReport:
     """mAP@50 of pseudo-labels (or raw detections) against rendered gt.
 
-    Raises on frame-count mismatch.
+    Raises on frame-count mismatch. K is unused; it stays because
+    perfbench's workloads pass it as the fourth positional argument.
     """
     if len(dataset_or_dets) != len(trajectory.frames):
         raise ValueError("dataset/trajectory mismatch")

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .detector import log_softmax_and_softmax
 from .scene import NUM_CLASSES
 from .serialize import JsonDataclass
 
@@ -89,16 +90,6 @@ def triplet_loss(features: np.ndarray, uids, margin: float = 0.3) -> LossValue:
     return LossValue(value, {"features": grads})
 
 
-def _softmax_pass(logits: np.ndarray):
-    """(log-softmax, softmax) of (B, C) logits from one shifted/exp/sum pass,
-    the softmax in detector.softmax's expression; ValueError if not finite."""
-    _check_finite(logits, "invalid logits")
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    total = np.sum(e, axis=-1, keepdims=True)
-    return shifted - np.log(total), e / total
-
-
 def _distill_term(logp, p, tgt):
     """Mean soft-target cross-entropy and its (B, C) logits gradient."""
     return float(np.mean(-np.sum(tgt * logp, axis=-1))), (p - tgt) / p.shape[0]
@@ -123,7 +114,7 @@ def distill_loss(logits: np.ndarray, soft_targets: np.ndarray) -> LossValue:
     """
     lam = np.atleast_2d(np.asarray(logits, dtype=float))
     tgt = np.atleast_2d(np.asarray(soft_targets, dtype=float))
-    logp, p = _softmax_pass(lam)
+    logp, p = log_softmax_and_softmax(lam)
     if lam.shape[0] == 0:
         raise ValueError("empty batch")
     if (np.any(tgt < -1e-12)
@@ -163,7 +154,7 @@ def head_loss(pred_logits: np.ndarray, pred_box: np.ndarray,
     box = np.atleast_2d(np.asarray(pred_box, dtype=float))
     tbox = np.atleast_2d(np.asarray(target_box, dtype=float))
     cls = np.atleast_1d(target_class)
-    logp, p = _softmax_pass(lam)
+    logp, p = log_softmax_and_softmax(lam)
     if np.any(tbox[:, 2] < tbox[:, 0]) or np.any(tbox[:, 3] < tbox[:, 1]):
         raise ValueError("invalid box")
     if np.any((cls < 0) | (cls >= lam.shape[-1])):
@@ -207,7 +198,7 @@ class TrainConfig(JsonDataclass):
 
     def __post_init__(self):
         self._require("at least 1", "batch_size", "feature_dim")
-        self._require("non-negative", "epochs", "lr", "alpha", "feature_noise")
+        self._require("non-negative", "epochs", "lr", "alpha", "feature_noise", "seed")
         self._require("in [0, 1]", "label_flip_prob")
 
 
@@ -295,7 +286,7 @@ def _fit(problem: tuple, config: TrainConfig) -> dict:
     def batch(idx):
         """(total, distill, head) and (logits grad, box grad, features)."""
         F = feats[idx]
-        logp, p = _softmax_pass(F @ params["W_cls"].T + params["b_cls"])
+        logp, p = log_softmax_and_softmax(F @ params["W_cls"].T + params["b_cls"])
         dist, g_dist = _distill_term(logp, p, lambdas[idx])
         pbox = F @ params["W_box"].T + params["b_box"]
         head, g_head, g_box = _head_term(logp, p, pbox, hard[idx], boxes[idx])

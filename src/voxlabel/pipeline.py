@@ -40,10 +40,10 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class RunConfig(JsonDataclass):
     """The settings of a run. config.json is its JsonDataclass to_json, and
-    config_hash hashes that file's canonical text. Camera height, sensing
-    range, occupancy cell size and occlusion tolerance are fixed:
-    scene.CAMERA_HEIGHT, scene.MAX_RANGE, explore.CELL_SIZE and 2 *
-    voxel_size; eval matches at IoU 0.5."""
+    config_hash hashes that file's canonical text. What no run varies is a
+    module constant: scene.CAMERA_HEIGHT, scene.MAX_RANGE, the scene's wall
+    and placement constants, detector.LOGIT_SHARPNESS and SCORE_THRESHOLD,
+    explore.CELL_SIZE; occlusion tolerance is 2 * voxel_size, eval's IoU 0.5."""
 
     scene_file: str | None = None
     scene_params: SceneParams = field(default_factory=SceneParams)

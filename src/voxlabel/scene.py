@@ -22,6 +22,13 @@ NUM_CLASSES = len(CLASS_NAMES)
 MAX_RANGE = 10.0
 # Height (m) of the camera above the floor, the z of every pose.
 CAMERA_HEIGHT = 1.25
+# generate_scene's wall thickness and height (m), relative footprint jitter,
+# least horizontal gap between objects (m) and placement draws per object.
+WALL_THICKNESS = 0.1
+WALL_HEIGHT = 3.0
+SIZE_JITTER = 0.1
+MIN_SEPARATION = 0.4
+MAX_RETRIES = 200
 
 # Nominal object footprints (dx, dy, height) in meters, per class.
 CLASS_SIZES = (
@@ -177,24 +184,18 @@ def visible_instances(frame: FrameObservation, min_pixels: int) -> list:
 
 @dataclass(frozen=True)
 class SceneParams(JsonDataclass):
-    """Scene-generation knobs, a JsonDataclass; counts are per-class inclusive ranges."""
+    """Scene-generation knobs, a JsonDataclass; counts are per-class inclusive
+    ranges. Walls, jitter, separation and retries are module constants."""
 
     room_size_min: float = 10.0
     room_size_max: float = 12.0
     objects_per_class_min: int = 1
     objects_per_class_max: int = 1
-    min_separation: float = 0.4
-    wall_thickness: float = 0.1
-    wall_height: float = 3.0
     n_partitions: int = 3
-    size_jitter: float = 0.1
-    max_retries: int = 200
 
     def __post_init__(self):
-        self._require("positive", "room_size_min", "wall_thickness", "wall_height")
-        self._require("non-negative", "objects_per_class_min", "n_partitions",
-                      "size_jitter", "min_separation")
-        self._require("at least 1", "max_retries")
+        self._require("positive", "room_size_min", "room_size_max")
+        self._require("non-negative", "objects_per_class_min", "n_partitions")
         for lo, hi in (("room_size_min", "room_size_max"),
                        ("objects_per_class_min", "objects_per_class_max")):
             if getattr(self, lo) > getattr(self, hi):
@@ -207,8 +208,7 @@ def generate_scene(params: SceneParams, seed: int) -> SceneSpec:
     rng = np.random.default_rng(seed)
     sx = float(rng.uniform(params.room_size_min, params.room_size_max))
     sy = float(rng.uniform(params.room_size_min, params.room_size_max))
-    h = params.wall_height
-    t = params.wall_thickness
+    h, t = WALL_HEIGHT, WALL_THICKNESS
     bounds = Box(0.0, 0.0, 0.0, sx, sy, h)
     walls = (
         Box(0.0, 0.0, 0.0, sx, t, h),
@@ -242,9 +242,9 @@ def generate_scene(params: SceneParams, seed: int) -> SceneSpec:
         for _ in range(counts[class_id]):
             dx0, dy0, dz = CLASS_SIZES[class_id]
             placed = False
-            for _ in range(params.max_retries):
-                jx = 1.0 + float(rng.uniform(-params.size_jitter, params.size_jitter))
-                jy = 1.0 + float(rng.uniform(-params.size_jitter, params.size_jitter))
+            for _ in range(MAX_RETRIES):
+                jx = 1.0 + float(rng.uniform(-SIZE_JITTER, SIZE_JITTER))
+                jy = 1.0 + float(rng.uniform(-SIZE_JITTER, SIZE_JITTER))
                 dx, dy = dx0 * jx, dy0 * jy
                 lo_x, hi_x = t + 0.05, sx - t - 0.05 - dx
                 lo_y, hi_y = t + 0.05, sy - t - 0.05 - dy
@@ -253,8 +253,7 @@ def generate_scene(params: SceneParams, seed: int) -> SceneSpec:
                 x = float(rng.uniform(lo_x, hi_x))
                 y = float(rng.uniform(lo_y, hi_y))
                 box = Box(x, y, 0.0, x + dx, y + dy, dz)
-                if (all(_boxes_xy_gap(box, o.box) >= params.min_separation
-                        for o in objects)
+                if (all(_boxes_xy_gap(box, o.box) >= MIN_SEPARATION for o in objects)
                         and all(_boxes_xy_gap(box, w) >= 0.35 for w in partitions)):
                     objects.append(ObjectInstance(gt_id, class_id, box))
                     gt_id += 1
@@ -263,8 +262,7 @@ def generate_scene(params: SceneParams, seed: int) -> SceneSpec:
             if not placed:
                 raise SceneInfeasibleError(
                     f"scene infeasible: could not place class {CLASS_NAMES[class_id]} "
-                    f"with min_separation={params.min_separation} "
-                    f"after {params.max_retries} retries")
+                    f"after {MAX_RETRIES} retries")
     return SceneSpec(bounds=bounds, obstacles=walls + tuple(partitions),
                      objects=tuple(objects), seed=seed)
 

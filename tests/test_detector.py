@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxlabel.detector import (DetectionSet, NoiseModel, _jitter_mask,
-                               mask_bbox, simulate_detections, softmax)
+from voxlabel.detector import (SCORE_THRESHOLD, DetectionSet, NoiseModel,
+                               _jitter_mask, mask_bbox, simulate_detections,
+                               softmax)
 from voxlabel.evaluate import match_gt
 from voxlabel.scene import (Box, FrameObservation, ObjectInstance, Pose,
                             SceneSpec, render_frame)
@@ -77,15 +78,6 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match="mask_jitter_px"):
             NoiseModel(mask_jitter_px=-1)
 
-    @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
-    def test_rejects_score_threshold_outside_unit_interval(self, threshold):
-        with pytest.raises(ValueError, match="score_threshold"):
-            NoiseModel(score_threshold=threshold)
-
-    @pytest.mark.parametrize("threshold", [0.0, 1.0])
-    def test_accepts_score_threshold_bounds(self, threshold):
-        assert NoiseModel(score_threshold=threshold).score_threshold == threshold
-
     @pytest.mark.parametrize("min_pixels", [0, -5])
     def test_rejects_min_pixels_below_one(self, min_pixels):
         with pytest.raises(ValueError, match="min_pixels"):
@@ -135,7 +127,7 @@ class TestSimulateDetections:
             out = simulate_detections(frame, visible_scene, noise,
                                       np.random.default_rng(seed))
             for det in out.detections:
-                assert det.score >= noise.score_threshold
+                assert det.score >= SCORE_THRESHOLD
 
     def test_deterministic_given_seed(self, cam, visible_scene):
         pose = Pose(x=0.5, y=0.0, yaw=0.3)
@@ -155,8 +147,7 @@ class TestSimulateDetections:
             conf[i, i] = 0.8
             conf[i, (i + 1) % 6] = 0.2
         noise = NoiseModel(confusion=tuple(map(tuple, conf)),
-                           logit_noise_sigma=0.0, min_pixels=1,
-                           score_threshold=0.0)
+                           logit_noise_sigma=0.0, min_pixels=1)
         scene = SceneSpec(bounds=Box(0, -2, 0, 6, 2, 3), obstacles=(),
                           objects=(ObjectInstance(0, 2, Box(2, -1, 0, 3, 1, 2.5)),))
         depth = np.full((4, 4), 2.0)

@@ -333,8 +333,8 @@ class TestRunConfig:
 
     def test_pinned_hashes(self):
         # config.json text, and so every run directory's key, is unchanged
-        assert config_hash(RunConfig()) == "9dd6484e34b73bc3"
-        assert config_hash(GRID_BASE) == "02ca0361941bba5b"
+        assert config_hash(RunConfig()) == "df0ebac1101ae58d"
+        assert config_hash(GRID_BASE) == "03043dd99ce370bb"
 
     def test_int_for_float_field_reads_as_float(self):
         config = RunConfig.from_json({"alpha": 1})
@@ -361,6 +361,23 @@ class TestRunConfig:
          "camera_height"),
         # a config.json written while the toy head trained a triplet term
         ({"train_config": {"margin": 0.3}}, "train_config.margin"),
+        # scene and detector settings that are now constants
+        ({"scene_params": {"wall_thickness": 0.1}}, "scene_params.wall_thickness"),
+        ({"scene_params": {"wall_height": 3.0}}, "scene_params.wall_height"),
+        ({"scene_params": {"size_jitter": 0.1}}, "scene_params.size_jitter"),
+        ({"scene_params": {"min_separation": 0.4}}, "scene_params.min_separation"),
+        ({"scene_params": {"max_retries": 200}}, "scene_params.max_retries"),
+        ({"noise": {"score_threshold": 0.7}}, "noise.score_threshold"),
+        # RunConfig()'s config.json text from before the seven scene and
+        # detector settings became constants: noise sorts before scene_params
+        (json.loads(canonical_dumps({
+            **RunConfig().to_json(),
+            "scene_params": {**SceneParams().to_json(), "min_separation": 0.4,
+                             "wall_thickness": 0.1, "wall_height": 3.0,
+                             "size_jitter": 0.1, "max_retries": 200},
+            "noise": {**NoiseModel().to_json(), "logit_sharpness": 10.0,
+                      "score_threshold": 0.7}})),
+         "noise.logit_sharpness"),
     ])
     def test_from_json_rejects_bad_field(self, data, field):
         # unknown keys at every level, a missing required field, wrong types
@@ -390,10 +407,10 @@ class TestRunConfig:
          "noise.logit_noise_sigma must be non-negative, got -1.0"),
         ({"noise": {"logit_noise_sigma": math.nan}},
          "noise.logit_noise_sigma must be non-negative, got nan"),
-        ({"noise": {"logit_sharpness": -10}},
-         "noise.logit_sharpness must be non-negative, got -10.0"),
-        ({"noise": {"logit_sharpness": math.nan}},
-         "noise.logit_sharpness must be non-negative, got nan"),
+        ({"scene_params": {"room_size_max": math.inf}},
+         "scene_params.room_size_max must be positive, got inf"),
+        ({"scene_params": {"room_size_max": math.nan}},
+         "scene_params.room_size_max must be positive, got nan"),
         ({"noise": {"confusion": [[math.nan] * 6] * 6}},
          "noise.confusion rows must be stochastic"),
     ])
@@ -430,7 +447,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("name, value", [
         ("batch_size", 0), ("epochs", -1), ("feature_dim", 0),
         ("label_flip_prob", 2.0), ("lr", -1), ("alpha", -1),
-        ("feature_noise", -1)])
+        ("feature_noise", -1), ("seed", -1)])
     def test_rejects_out_of_range_train_settings(self, name, value):
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})

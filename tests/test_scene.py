@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from voxlabel.scene import (CAMERA_HEIGHT, MAX_RANGE, Box, CameraIntrinsics,
-                            FrameObservation, ObjectInstance, Pose,
+from voxlabel.scene import (CAMERA_HEIGHT, MAX_RANGE, MIN_SEPARATION, Box,
+                            CameraIntrinsics, FrameObservation, ObjectInstance, Pose,
                             SceneInfeasibleError, SceneParams, SceneSpec,
                             generate_scene, pixel_to_world, render_frame,
                             visible_instances, world_to_pixel)
@@ -59,16 +59,14 @@ class TestGenerateScene:
         assert a.to_json() == b.to_json()
 
     def test_one_object_per_class_separation(self):
-        params = SceneParams(objects_per_class_min=1, objects_per_class_max=1,
-                             min_separation=0.5)
-        scene = generate_scene(params, seed=3)
+        scene = generate_scene(SceneParams(), seed=3)
         assert sorted(o.class_id for o in scene.objects) == [0, 1, 2, 3, 4, 5]
         # exhaustive pairwise separation check
         for i, a in enumerate(scene.objects):
             for b in scene.objects[i + 1:]:
                 dx = max(a.box.xmin - b.box.xmax, b.box.xmin - a.box.xmax, 0.0)
                 dy = max(a.box.ymin - b.box.ymax, b.box.ymin - a.box.ymax, 0.0)
-                assert math.hypot(dx, dy) >= 0.5
+                assert math.hypot(dx, dy) >= MIN_SEPARATION
 
     def test_objects_inside_bounds(self):
         scene = generate_scene(SceneParams(), seed=5)
@@ -80,7 +78,7 @@ class TestGenerateScene:
     def test_infeasible_raises(self):
         params = SceneParams(room_size_min=2.0, room_size_max=2.0,
                              objects_per_class_min=4, objects_per_class_max=4,
-                             min_separation=3.0, max_retries=20, n_partitions=0)
+                             n_partitions=0)
         with pytest.raises(SceneInfeasibleError):
             generate_scene(params, seed=0)
 
@@ -411,11 +409,8 @@ class TestTypes:
         (dict(n_partitions=-2), "n_partitions"),
         (dict(objects_per_class_min=-1), "objects_per_class_min"),
         (dict(room_size_min=0.0), "room_size_min"),
-        (dict(wall_thickness=0.0), "wall_thickness"),
-        (dict(wall_height=-3.0), "wall_height"),
-        (dict(size_jitter=-0.1), "size_jitter"),
-        (dict(min_separation=-0.4), "min_separation"),
-        (dict(max_retries=0), "max_retries"),
+        (dict(room_size_max=math.inf), "room_size_max"),
+        (dict(room_size_max=math.nan), "room_size_max"),
     ])
     def test_scene_params_ranges(self, kw, field):
         with pytest.raises(ValueError, match=field):
